@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# One-stop CI gate: tier-1 build + tests, the sanitizer suite, the
-# metrics-documentation lint, the perf-regression gate (innet_benchdiff vs
-# the committed BENCH_*.json baselines), the timeseries determinism check,
-# and a JSON lint over every committed BENCH_*.json telemetry file. Any
-# failure fails the whole run.
+# One-stop CI gate: tier-1 build + tests, the sanitizer suite, perfbench
+# smoke runs, the metrics-documentation lint, the perf-regression gate
+# (innet_benchdiff vs the committed BENCH_*.json baselines), the timeseries
+# determinism check, and a JSON lint over every committed BENCH_*.json
+# telemetry file. Any failure fails the whole run.
 #
 # Usage: scripts/ci.sh [--skip-asan]
 #   --skip-asan   skip the (slow) AddressSanitizer build + test pass
@@ -37,6 +37,27 @@ if [ "$skip_asan" -eq 0 ]; then
 else
   step "sanitizer suite skipped (--skip-asan)"
 fi
+
+step "perfbench build + smoke runs (perfbench/run.py, every workload)"
+# Nothing else compiles perfbench/, which drives src/ through its public API;
+# each run must build, pass its own output checks and fail no operation.
+for run in deploy_steady:0 forward_imix:0 flow_setup:0 deploy_steady:1; do
+  workload=${run%:*}
+  trace=${run#*:}
+  last=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 \
+      --trace "$trace" | tail -n 1)
+  if printf '%s\n' "$last" | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+sys.exit(0 if result.get("correct") is True and result.get("failed") == 0 else 1)
+' 2>/dev/null; then
+    echo "ok: perfbench $workload --trace $trace"
+  else
+    echo "ERROR: perfbench $workload --trace $trace did not report correct=true, failed=0" >&2
+    echo "       last line: $last" >&2
+    fail=1
+  fi
+done
 
 step "metrics documentation lint (check_metrics_docs.sh)"
 scripts/check_metrics_docs.sh || fail=1

@@ -305,7 +305,6 @@ DeployOutcome Controller::Deploy(const ClientRequest& request,
                                  const std::vector<std::string>& candidate_platforms,
                                  bool candidates_ranked) {
   DeployOutcome outcome;
-  auto t_start = std::chrono::steady_clock::now();
   uint64_t graph_nodes = 0;
   if (obs::Tracer().enabled()) {
     obs::Tracer().RecordNow(obs::EventKind::kVerifyStart, "controller", request.client_id);
@@ -476,7 +475,6 @@ DeployOutcome Controller::Deploy(const ClientRequest& request,
     outcome.reason = "deployed";
     deployments_.push_back(std::move(trial));
     ++next_module_seq_;
-    (void)t_start;
     RecordDeployMetrics(&outcome, graph_nodes);
     return outcome;
   }

@@ -1,8 +1,15 @@
 #include "src/symexec/symbolic_packet.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace innet::symexec {
+namespace {
+
+// Orders the sorted constraint store's entries for binary search by var.
+bool VarBefore(const std::pair<VarId, ValueSet>& entry, VarId var) { return entry.first < var; }
+
+}  // namespace
 
 SymbolicPacket SymbolicPacket::MakeUnconstrained(VarAllocator* vars) {
   SymbolicPacket packet;
@@ -16,17 +23,25 @@ SymbolicPacket SymbolicPacket::MakeUnconstrained(VarAllocator* vars) {
 
 void SymbolicPacket::SetConst(HeaderField f, uint64_t v) {
   fields_[Index(f)].value = SymbolicValue::Const(v);
-  fields_[Index(f)].last_def_hop = NextDefHop();
+  fields_[Index(f)].last_def_hop = hop_count();
 }
 
 void SymbolicPacket::SetFresh(HeaderField f, VarAllocator* vars) {
   fields_[Index(f)].value = SymbolicValue::Var(vars->Alloc());
-  fields_[Index(f)].last_def_hop = NextDefHop();
+  fields_[Index(f)].last_def_hop = hop_count();
 }
 
 void SymbolicPacket::SetValue(HeaderField f, const SymbolicValue& v) {
   fields_[Index(f)].value = v;
-  fields_[Index(f)].last_def_hop = NextDefHop();
+  fields_[Index(f)].last_def_hop = hop_count();
+}
+
+const ValueSet* SymbolicPacket::FindConstraint(VarId var) const {
+  if (!constraints_) {
+    return nullptr;
+  }
+  auto it = std::lower_bound(constraints_->begin(), constraints_->end(), var, VarBefore);
+  return it != constraints_->end() && it->first == var ? &it->second : nullptr;
 }
 
 bool SymbolicPacket::Constrain(HeaderField f, const ValueSet& allowed) {
@@ -37,14 +52,27 @@ bool SymbolicPacket::Constrain(HeaderField f, const ValueSet& allowed) {
     }
     return feasible_;
   }
-  auto it = constraints_.find(value.var);
-  ValueSet narrowed =
-      it == constraints_.end() ? allowed : it->second.Intersect(allowed);
+  const ValueSet* current = FindConstraint(value.var);
+  ValueSet narrowed = current == nullptr ? allowed : current->Intersect(allowed);
   if (narrowed.IsEmpty()) {
     feasible_ = false;
     return false;
   }
-  constraints_[value.var] = std::move(narrowed);
+  if (current == nullptr ? narrowed.IsFull() : narrowed == *current) {
+    return true;  // nothing narrowed: leave the (possibly shared) store alone
+  }
+  // Copy-on-write: a store another packet still shares is cloned first.
+  if (!constraints_) {
+    constraints_ = std::make_shared<ConstraintStore>();
+  } else if (constraints_.use_count() > 1) {
+    constraints_ = std::make_shared<ConstraintStore>(*constraints_);
+  }
+  auto it = std::lower_bound(constraints_->begin(), constraints_->end(), value.var, VarBefore);
+  if (it != constraints_->end() && it->first == value.var) {
+    it->second = std::move(narrowed);
+  } else {
+    constraints_->emplace(it, value.var, std::move(narrowed));
+  }
   return true;
 }
 
@@ -52,8 +80,8 @@ ValueSet SymbolicPacket::PossibleValuesOf(const SymbolicValue& v) const {
   if (v.is_const) {
     return ValueSet::Single(v.const_value);
   }
-  auto it = constraints_.find(v.var);
-  return it == constraints_.end() ? ValueSet::Full() : it->second;
+  const ValueSet* set = FindConstraint(v.var);
+  return set == nullptr ? ValueSet::Full() : *set;
 }
 
 ValueSet SymbolicPacket::PossibleValues(HeaderField f) const {
@@ -73,13 +101,17 @@ std::vector<SymbolicPacket> SymbolicPacket::ConstrainToFlowSpec(const FlowSpec& 
   // Start with one branch; direction-ambiguous predicates fork it.
   std::vector<SymbolicPacket> branches{*this};
   auto constrain_all = [&branches](HeaderField f, const ValueSet& set) {
-    std::vector<SymbolicPacket> next;
-    for (SymbolicPacket& b : branches) {
-      if (b.Constrain(f, set)) {
-        next.push_back(std::move(b));
+    size_t kept = 0;
+    for (size_t i = 0; i < branches.size(); ++i) {
+      if (!branches[i].Constrain(f, set)) {
+        continue;
       }
+      if (kept != i) {
+        branches[kept] = std::move(branches[i]);
+      }
+      ++kept;
     }
-    branches = std::move(next);
+    branches.resize(kept);
   };
   auto fork_either = [&branches](HeaderField a, HeaderField b, const ValueSet& set) {
     std::vector<SymbolicPacket> next;
@@ -167,17 +199,45 @@ bool SymbolicPacket::CanMatchFlowSpec(const FlowSpec& spec, int hop_index) const
   return true;
 }
 
+SymbolicPacket::HopNode::~HopNode() {
+  // Unlink the part of the chain only this node owns one hop at a time, so
+  // dropping a long history never recurses once per hop.
+  std::shared_ptr<HopNode> next = std::move(parent);
+  while (next && next.use_count() == 1) {
+    next = std::move(next->parent);
+  }
+}
+
 void SymbolicPacket::RecordHop(const std::string& node, int out_port) {
-  Hop hop;
-  hop.node = node;
-  hop.out_port = out_port;
-  hop.fields = fields_;
-  history_.push_back(std::move(hop));
+  auto hop = std::make_shared<HopNode>();
+  hop->hop.node = node;
+  hop->hop.out_port = out_port;
+  hop->hop.fields = fields_;
+  hop->depth = hop_count() + 1;
+  hop->parent = std::move(tail_);
+  tail_ = std::move(hop);
+}
+
+HopHistory SymbolicPacket::history() const {
+  static const std::vector<const Hop*> kNone;
+  if (!tail_) {
+    return HopHistory(kNone);
+  }
+  std::vector<const Hop*>& flat = tail_->flat;
+  if (flat.empty()) {
+    flat.resize(static_cast<size_t>(tail_->depth));
+    const HopNode* at = tail_.get();
+    for (size_t i = flat.size(); i > 0; --i, at = at->parent.get()) {
+      flat[i - 1] = &at->hop;
+    }
+  }
+  return HopHistory(flat);
 }
 
 int SymbolicPacket::FindHop(const std::string& name, int from) const {
-  for (size_t i = static_cast<size_t>(from); i < history_.size(); ++i) {
-    if (history_[i].node == name) {
+  HopHistory hops = history();
+  for (size_t i = static_cast<size_t>(from); i < hops.size(); ++i) {
+    if (hops[i].node == name) {
       return static_cast<int>(i);
     }
   }
@@ -185,14 +245,12 @@ int SymbolicPacket::FindHop(const std::string& name, int from) const {
 }
 
 bool SymbolicPacket::FieldInvariantBetween(HeaderField f, int from_hop, int to_hop) const {
-  if (from_hop < 0 || to_hop < from_hop ||
-      static_cast<size_t>(to_hop) >= history_.size()) {
+  if (from_hop < 0 || to_hop < from_hop || to_hop >= hop_count()) {
     return false;
   }
   // The field is invariant iff its last definition as of `to_hop` happened at
   // or before `from_hop` — i.e., no node in between rewrote it.
-  const FieldState& state = history_[static_cast<size_t>(to_hop)].fields[Index(f)];
-  return state.last_def_hop <= from_hop;
+  return FieldAtHop(f, to_hop).last_def_hop <= from_hop;
 }
 
 std::string SymbolicPacket::Describe() const {

@@ -13,9 +13,10 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/netcore/fields.h"
@@ -66,6 +67,41 @@ struct Hop {
   std::array<FieldState, kNumHeaderFields> fields;
 };
 
+// Read-only view of a packet's hop history, oldest hop first. It stays valid
+// while the packet (or any copy sharing its history) is alive.
+class HopHistory {
+ public:
+  class Iterator {
+   public:
+    explicit Iterator(const Hop* const* at) : at_(at) {}
+    const Hop& operator*() const { return **at_; }
+    const Hop* operator->() const { return *at_; }
+    Iterator& operator++() {
+      ++at_;
+      return *this;
+    }
+    friend bool operator==(Iterator a, Iterator b) { return a.at_ == b.at_; }
+
+   private:
+    const Hop* const* at_;
+  };
+
+  explicit HopHistory(const std::vector<const Hop*>& hops) : hops_(&hops) {}
+
+  size_t size() const { return hops_->size(); }
+  bool empty() const { return hops_->empty(); }
+  const Hop& operator[](size_t i) const { return *(*hops_)[i]; }
+  Iterator begin() const { return Iterator(hops_->data()); }
+  Iterator end() const { return Iterator(hops_->data() + hops_->size()); }
+
+ private:
+  const std::vector<const Hop*>* hops_;
+};
+
+// Copying a packet is O(1) and allocation-free: branches share their hop
+// history (an immutable chain linked from the newest hop back) and their
+// constraint store (copy-on-write), so the engine can split a packet at every
+// filter, classifier and route without paying for the path behind it.
 class SymbolicPacket {
  public:
   SymbolicPacket() = default;
@@ -117,13 +153,17 @@ class SymbolicPacket {
   // --- History ----------------------------------------------------------------------
   // Records departure from `node` via `out_port`, snapshotting field state.
   void RecordHop(const std::string& node, int out_port);
-  const std::vector<Hop>& history() const { return history_; }
+  // Number of hops recorded so far; O(1), and never flattens the chain.
+  int hop_count() const { return tail_ ? tail_->depth : 0; }
+  // The hops in order. The first call after a RecordHop flattens the chain
+  // once; later calls, and copies sharing the same last hop, reuse it.
+  HopHistory history() const;
   // First hop index at or after `from` whose node equals `name`; -1 if none.
   int FindHop(const std::string& name, int from = 0) const;
 
-  // Field state as of hop `index` (must be < history().size()).
+  // Field state as of hop `index` (must be < hop_count()).
   const FieldState& FieldAtHop(HeaderField f, int index) const {
-    return history_[static_cast<size_t>(index)].fields[Index(f)];
+    return history()[static_cast<size_t>(index)].fields[Index(f)];
   }
 
   // True when `f` kept a single definition between hops `from_hop` and
@@ -137,8 +177,26 @@ class SymbolicPacket {
   std::string Describe() const;
 
  private:
+  // One recorded hop plus a link to the hop before it. A node never changes
+  // once linked, so every copy of a packet shares the hops it has in common
+  // with its siblings.
+  struct HopNode {
+    Hop hop;
+    int depth = 0;  // hops in the chain ending here
+    std::shared_ptr<HopNode> parent;
+    // The chain flattened oldest first; filled on the first history() read,
+    // so packets sharing a hop must not read their history concurrently.
+    mutable std::vector<const Hop*> flat;
+
+    ~HopNode();
+  };
+
+  // (var, allowed values), sorted by var; a var without an entry is
+  // unconstrained. Copies share one vector until either side narrows a set.
+  using ConstraintStore = std::vector<std::pair<VarId, ValueSet>>;
+
   static size_t Index(HeaderField f) { return static_cast<size_t>(f); }
-  int NextDefHop() const { return static_cast<int>(history_.size()); }
+  const ValueSet* FindConstraint(VarId var) const;
 
   static std::array<VarId, kNumHeaderFields> NoVars() {
     std::array<VarId, kNumHeaderFields> vars;
@@ -148,8 +206,8 @@ class SymbolicPacket {
 
   std::array<FieldState, kNumHeaderFields> fields_{};
   std::array<VarId, kNumHeaderFields> ingress_vars_ = NoVars();
-  std::unordered_map<VarId, ValueSet> constraints_;  // absent var => Full()
-  std::vector<Hop> history_;
+  std::shared_ptr<ConstraintStore> constraints_;  // null => no constraints
+  std::shared_ptr<HopNode> tail_;                  // newest hop; null => none
   std::string delivered_at_;
   bool feasible_ = true;
 };

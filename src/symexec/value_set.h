@@ -37,6 +37,9 @@ class ValueSet {
   }
 
   bool IsEmpty() const { return intervals_.empty(); }
+  bool IsFull() const {
+    return intervals_.size() == 1 && intervals_[0].lo == 0 && intervals_[0].hi == UINT64_MAX;
+  }
   bool Contains(uint64_t v) const;
   bool IsSingle() const {
     return intervals_.size() == 1 && intervals_[0].lo == intervals_[0].hi;

@@ -162,8 +162,7 @@ class StatefulFirewallModel : public SymbolicModel {
     }
     // ...or matching a controller-installed pinhole (explicit authorization).
     for (const FlowSpec& pinhole : pinholes_) {
-      SymbolicPacket branch = packet;
-      for (SymbolicPacket& b : branch.ConstrainToFlowSpec(pinhole, ctx->vars)) {
+      for (SymbolicPacket& b : packet.ConstrainToFlowSpec(pinhole, ctx->vars)) {
         result.push_back({0, std::move(b)});
       }
     }

@@ -5,8 +5,15 @@
 // This is the property the whole In-Net security story rests on: if the
 // checker says "no flow can do X", no runtime packet may do X.
 #include <gtest/gtest.h>
+#include <pthread.h>
 
+#include <array>
+#include <iterator>
+#include <map>
+#include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/click/elements.h"
 #include "src/click/graph.h"
@@ -15,6 +22,7 @@
 #include "src/sim/rng.h"
 #include "src/symexec/click_models.h"
 #include "src/symexec/engine.h"
+#include "src/symexec/symbolic_packet.h"
 #include "src/symexec/value_set.h"
 #include "src/transport/reno_flow.h"
 
@@ -277,6 +285,352 @@ TEST_P(SymbolicSoundness, RuntimeDeliveryImpliesFeasibleSymbolicPath) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SymbolicSoundness, ::testing::Values(101, 202, 303, 404));
+
+// --- Differential: SymbolicPacket copies vs a deep-copying reference ----------------------
+//
+// Copies of a SymbolicPacket share their hop history and their constraint
+// store. This sweep builds random fork trees and applies every operation both
+// to the packet and to a naive reference that owns plain copies (a vector of
+// hops, a std::map of constraints); after each operation every live packet
+// must still agree with its own reference, so a write that leaks into a
+// sibling shows up at once.
+
+struct RefPacket {
+  std::array<symexec::FieldState, kNumHeaderFields> fields{};
+  std::map<symexec::VarId, ValueSet> constraints;  // absent var => Full()
+  std::vector<symexec::Hop> history;
+  bool feasible = true;
+
+  void Define(HeaderField f, const symexec::SymbolicValue& v) {
+    fields[static_cast<size_t>(f)].value = v;
+    fields[static_cast<size_t>(f)].last_def_hop = static_cast<int>(history.size());
+  }
+
+  ValueSet PossibleValuesOf(const symexec::SymbolicValue& v) const {
+    if (v.is_const) {
+      return ValueSet::Single(v.const_value);
+    }
+    auto it = constraints.find(v.var);
+    return it == constraints.end() ? ValueSet::Full() : it->second;
+  }
+
+  bool Constrain(HeaderField f, const ValueSet& allowed) {
+    const symexec::SymbolicValue& v = fields[static_cast<size_t>(f)].value;
+    if (v.is_const) {
+      if (!allowed.Contains(v.const_value)) {
+        feasible = false;
+      }
+      return feasible;
+    }
+    ValueSet narrowed = PossibleValuesOf(v).Intersect(allowed);
+    if (narrowed.IsEmpty()) {
+      feasible = false;
+      return false;
+    }
+    constraints[v.var] = narrowed;
+    return true;
+  }
+
+  // Same predicate order and forking as SymbolicPacket::ConstrainToFlowSpec.
+  std::vector<RefPacket> ConstrainToFlowSpec(const FlowSpec& spec) const {
+    std::vector<RefPacket> branches{*this};
+    auto constrain_all = [&branches](HeaderField f, const ValueSet& set) {
+      std::vector<RefPacket> next;
+      for (RefPacket& b : branches) {
+        if (b.Constrain(f, set)) {
+          next.push_back(b);
+        }
+      }
+      branches = next;
+    };
+    auto constrain = [&](Direction dir, HeaderField src, HeaderField dst, const ValueSet& set) {
+      if (dir == Direction::kSrc) {
+        constrain_all(src, set);
+        return;
+      }
+      if (dir == Direction::kDst) {
+        constrain_all(dst, set);
+        return;
+      }
+      std::vector<RefPacket> next;
+      for (const RefPacket& b : branches) {
+        RefPacket left = b;
+        if (left.Constrain(src, set)) {
+          next.push_back(left);
+        }
+        RefPacket right = b;
+        if (right.Constrain(dst, set)) {
+          next.push_back(right);
+        }
+      }
+      branches = next;
+    };
+    if (spec.proto()) {
+      constrain_all(HeaderField::kProto, ValueSet::Single(*spec.proto()));
+    }
+    if (spec.ttl()) {
+      constrain_all(HeaderField::kTtl, ValueSet::Single(*spec.ttl()));
+    }
+    for (const AddrPredicate& pred : spec.addr_predicates()) {
+      constrain(pred.dir, HeaderField::kIpSrc, HeaderField::kIpDst,
+                ValueSet::FromPrefix(pred.prefix));
+    }
+    for (const PortPredicate& pred : spec.port_predicates()) {
+      constrain(pred.dir, HeaderField::kSrcPort, HeaderField::kDstPort,
+                ValueSet::Range(pred.lo, pred.hi));
+    }
+    return branches;
+  }
+};
+
+class PacketCopyIsolation : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  // Values live in [0, 64) so constraints from different operations overlap,
+  // nest and sometimes exclude each other.
+  static constexpr uint64_t kDomain = 64;
+  static constexpr const char* kNodes[] = {"a", "b", "c", "platform0/tenant-module/filter"};
+
+  struct Live {
+    symexec::SymbolicPacket packet;
+    RefPacket ref;
+  };
+
+  static HeaderField RandomField(sim::Rng* rng) {
+    return static_cast<HeaderField>(rng->NextBelow(kNumHeaderFields));
+  }
+
+  static ValueSet RandomSet(sim::Rng* rng) {
+    uint64_t lo = rng->NextBelow(kDomain);
+    ValueSet set = ValueSet::Range(lo, lo + rng->NextBelow(24));
+    if (rng->Bernoulli(0.3)) {
+      set = set.Union(ValueSet::Single(rng->NextBelow(kDomain)));
+    }
+    return rng->Bernoulli(0.2) ? ValueSet::Full().Subtract(set) : set;
+  }
+
+  static std::string RandomFlowSpec(sim::Rng* rng) {
+    static const char* kDirs[] = {"", "src ", "dst "};
+    std::ostringstream text;
+    if (rng->Bernoulli(0.3)) {
+      text << (rng->Bernoulli(0.5) ? "udp " : "tcp ");
+    }
+    if (rng->Bernoulli(0.2)) {
+      text << "ttl " << rng->NextBelow(kDomain) << " ";
+    }
+    for (uint64_t i = rng->NextBelow(3); i > 0; --i) {
+      text << kDirs[rng->NextBelow(3)] << "net 0.0.0." << rng->NextBelow(kDomain) << "/"
+           << (27 + rng->NextBelow(6)) << " ";
+    }
+    for (uint64_t i = rng->NextBelow(3); i > 0; --i) {
+      uint64_t lo = rng->NextBelow(kDomain);
+      text << kDirs[rng->NextBelow(3)] << "port " << lo << "-" << lo + rng->NextBelow(16) << " ";
+    }
+    return text.str();
+  }
+
+  // The first disagreement between `p` and `ref`, or "" when they agree.
+  static std::string Mismatch(const symexec::SymbolicPacket& p, const RefPacket& ref,
+                              sim::Rng* rng) {
+    auto same = [](const symexec::FieldState& a, const symexec::FieldState& b) {
+      return a.value == b.value && a.last_def_hop == b.last_def_hop;
+    };
+    if (p.feasible() != ref.feasible) {
+      return "feasible()";
+    }
+    int hops = static_cast<int>(ref.history.size());
+    if (p.hop_count() != hops || p.history().size() != ref.history.size()) {
+      return "history size";
+    }
+    size_t index = 0;
+    for (const symexec::Hop& hop : p.history()) {
+      const symexec::Hop& want = ref.history[index];
+      if (hop.node != want.node || hop.out_port != want.out_port) {
+        return "history()[" + std::to_string(index) + "]";
+      }
+      for (int f = 0; f < kNumHeaderFields; ++f) {
+        if (!same(hop.fields[static_cast<size_t>(f)], want.fields[static_cast<size_t>(f)]) ||
+            !same(p.FieldAtHop(static_cast<HeaderField>(f), static_cast<int>(index)),
+                  want.fields[static_cast<size_t>(f)])) {
+          return "FieldAtHop(" + std::to_string(f) + ", " + std::to_string(index) + ")";
+        }
+      }
+      ++index;
+    }
+    for (int f = 0; f < kNumHeaderFields; ++f) {
+      HeaderField field = static_cast<HeaderField>(f);
+      if (!same(p.field(field), ref.fields[static_cast<size_t>(f)])) {
+        return "field(" + std::to_string(f) + ")";
+      }
+      if (!(p.PossibleValues(field) == ref.PossibleValuesOf(p.value(field)))) {
+        return "PossibleValues(" + std::to_string(f) + ")";
+      }
+      for (int probe = 0; probe < 4; ++probe) {
+        int from = static_cast<int>(rng->NextBelow(static_cast<uint64_t>(hops) + 2)) - 1;
+        int to = static_cast<int>(rng->NextBelow(static_cast<uint64_t>(hops) + 2)) - 1;
+        bool want = from >= 0 && to >= from && to < hops &&
+                    ref.history[static_cast<size_t>(to)].fields[static_cast<size_t>(f)]
+                            .last_def_hop <= from;
+        if (p.FieldInvariantBetween(field, from, to) != want) {
+          return "FieldInvariantBetween(" + std::to_string(f) + ", " + std::to_string(from) +
+                 ", " + std::to_string(to) + ")";
+        }
+      }
+    }
+    for (const char* name : kNodes) {
+      int from = static_cast<int>(rng->NextBelow(static_cast<uint64_t>(hops) + 1));
+      for (int start : {0, from}) {
+        int want = -1;
+        for (int i = start; i < hops; ++i) {
+          if (ref.history[static_cast<size_t>(i)].node == name) {
+            want = i;
+            break;
+          }
+        }
+        if (p.FindHop(name, start) != want) {
+          return std::string("FindHop(") + name + ", " + std::to_string(start) + ")";
+        }
+      }
+    }
+    return "";
+  }
+};
+
+TEST_P(PacketCopyIsolation, ForkTreesMatchDeepCopyingReference) {
+  sim::Rng rng(GetParam());
+  for (int tree = 0; tree < 8; ++tree) {
+    symexec::VarAllocator vars;      // the packets' allocator
+    symexec::VarAllocator ref_vars;  // the reference's, kept in lockstep
+    std::vector<Live> live(1);
+    live[0].packet = symexec::SymbolicPacket::MakeUnconstrained(&vars);
+    for (int f = 0; f < kNumHeaderFields; ++f) {
+      live[0].ref.fields[static_cast<size_t>(f)].value =
+          symexec::SymbolicValue::Var(ref_vars.Alloc());
+    }
+    ASSERT_EQ(Mismatch(live[0].packet, live[0].ref, &rng), "");
+
+    for (int op = 0; op < 150; ++op) {
+      size_t i = rng.NextBelow(live.size());
+      Live& at = live[i];
+      HeaderField f = RandomField(&rng);
+      std::string what;
+      switch (rng.NextBelow(10)) {
+        case 0:  // fork by copy construction
+          if (live.size() < 8) {
+            Live copy = at;
+            live.push_back(std::move(copy));
+            what = "copy";
+            break;
+          }
+          [[fallthrough]];
+        case 1:  // drop a packet, releasing its share of history and store
+          if (live.size() > 1) {
+            live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+            what = "drop";
+            break;
+          }
+          [[fallthrough]];
+        case 2: {  // copy-assign over another live packet
+          size_t j = rng.NextBelow(live.size());
+          if (j != i) {
+            live[j].packet = live[i].packet;
+            live[j].ref = live[i].ref;
+          }
+          what = "assign";
+          break;
+        }
+        case 3: {
+          uint64_t v = rng.NextBelow(kDomain);
+          at.packet.SetConst(f, v);
+          at.ref.Define(f, symexec::SymbolicValue::Const(v));
+          what = "SetConst";
+          break;
+        }
+        case 4:
+          at.packet.SetFresh(f, &vars);
+          at.ref.Define(f, symexec::SymbolicValue::Var(ref_vars.Alloc()));
+          what = "SetFresh";
+          break;
+        case 5: {  // bind to another field's value, as swaps and copies do
+          symexec::SymbolicValue v = at.ref.fields[rng.NextBelow(kNumHeaderFields)].value;
+          at.packet.SetValue(f, v);
+          at.ref.Define(f, v);
+          what = "SetValue";
+          break;
+        }
+        case 6: {
+          ValueSet set = RandomSet(&rng);
+          bool got = at.packet.Constrain(f, set);
+          ASSERT_EQ(got, at.ref.Constrain(f, set)) << "Constrain " << set.ToString();
+          what = "Constrain";
+          break;
+        }
+        case 7: {
+          std::string text = RandomFlowSpec(&rng);
+          FlowSpec spec = FlowSpec::MustParse(text);
+          std::vector<symexec::SymbolicPacket> got = at.packet.ConstrainToFlowSpec(spec, &vars);
+          std::vector<RefPacket> want = at.ref.ConstrainToFlowSpec(spec);
+          ASSERT_EQ(got.size(), want.size()) << "ConstrainToFlowSpec(" << text << ")";
+          for (size_t b = 0; b < got.size() && live.size() < 8; ++b) {
+            live.push_back({std::move(got[b]), std::move(want[b])});
+          }
+          what = "ConstrainToFlowSpec(" + text + ")";
+          break;
+        }
+        case 8:
+          if (rng.Bernoulli(0.2)) {
+            at.packet.MarkInfeasible();
+            at.ref.feasible = false;
+          }
+          what = "MarkInfeasible";
+          break;
+        default: {
+          const char* node = kNodes[rng.NextBelow(std::size(kNodes))];
+          int port = static_cast<int>(rng.NextBelow(3));
+          at.packet.RecordHop(node, port);
+          at.ref.history.push_back({node, port, at.ref.fields});
+          what = "RecordHop";
+          break;
+        }
+      }
+      for (size_t k = 0; k < live.size(); ++k) {
+        ASSERT_EQ(Mismatch(live[k].packet, live[k].ref, &rng), "")
+            << "packet " << k << " of " << live.size() << " after " << what << " (tree "
+            << tree << ", op " << op << ")";
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PacketCopyIsolation, ::testing::Values(1, 2, 3, 4, 5, 6));
+
+// Dropping the last owner of a long history frees it on a thread with a
+// 64 KiB stack; recursing once per hop would overflow that stack.
+TEST(PacketCopyIsolationDeep, LongHistoryReleasesWithoutRecursion) {
+  constexpr int kHops = 20000;
+  symexec::VarAllocator vars;
+  auto packet = std::make_unique<symexec::SymbolicPacket>(
+      symexec::SymbolicPacket::MakeUnconstrained(&vars));
+  for (int i = 0; i < kHops; ++i) {
+    packet->RecordHop("n", 0);
+  }
+  auto sibling = std::make_unique<symexec::SymbolicPacket>(*packet);
+  sibling->RecordHop("tail", 1);
+  packet.reset();  // the sibling still holds the whole chain
+  EXPECT_EQ(sibling->hop_count(), kHops + 1);
+  EXPECT_EQ(sibling->FindHop("tail", kHops - 10), kHops);
+
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, 64 * 1024), 0);
+  pthread_t thread;
+  auto release = [](void* owned) -> void* {
+    delete static_cast<symexec::SymbolicPacket*>(owned);
+    return nullptr;
+  };
+  ASSERT_EQ(pthread_create(&thread, &attr, release, sibling.release()), 0);
+  EXPECT_EQ(pthread_join(thread, nullptr), 0);
+  pthread_attr_destroy(&attr);
+}
 
 // --- Transport: reliable delivery under arbitrary loss ------------------------------------
 
