@@ -131,12 +131,34 @@ step "dataplane profiling pipeline (bench + innet_top --postmortem)"
 if [ ! -x build/bench/dataplane_profile ] || [ ! -x build/tools/innet_top ]; then
   echo "ERROR: build/bench/dataplane_profile or build/tools/innet_top missing — build step failed?" >&2
   fail=1
-elif (cd build/bench && ./dataplane_profile >/dev/null) \
-    && ./build/tools/innet_top --postmortem build/bench/BENCH_dataplane_profile_postmortem.json; then
-  echo "ok: dataplane_profile produced a postmortem bundle and innet_top rendered it"
-else
+elif ! (cd build/bench && ./dataplane_profile >/dev/null) \
+    || ! ./build/tools/innet_top --postmortem build/bench/BENCH_dataplane_profile_postmortem.json; then
   echo "ERROR: dataplane profiling pipeline failed" >&2
   fail=1
+elif ! cmp -s build/bench/BENCH_dataplane_profile.json BENCH_dataplane_profile.json; then
+  echo "ERROR: regenerated BENCH_dataplane_profile.json differs from the committed snapshot" >&2
+  echo "       (if the change is intentional: cp build/bench/BENCH_dataplane_profile.json .)" >&2
+  fail=1
+else
+  echo "ok: dataplane_profile produced a postmortem bundle, innet_top rendered it, snapshot current"
+fi
+
+step "placement scaling bench (snapshot current)"
+# Deterministic end to end (sim clock only), so the whole file must match the
+# committed snapshot, not just its series. fig10_controller_scaling is not
+# compared this way: its compile_ms/checking_ms columns are wall-clock.
+if [ ! -x build/bench/placement_scaling ]; then
+  echo "ERROR: build/bench/placement_scaling missing — build step failed?" >&2
+  fail=1
+elif ! (cd build/bench && ./placement_scaling >/dev/null); then
+  echo "ERROR: placement_scaling exited non-zero" >&2
+  fail=1
+elif ! cmp -s build/bench/BENCH_placement_scaling.json BENCH_placement_scaling.json; then
+  echo "ERROR: regenerated BENCH_placement_scaling.json differs from the committed snapshot" >&2
+  echo "       (if the change is intentional: cp build/bench/BENCH_placement_scaling.json .)" >&2
+  fail=1
+else
+  echo "ok: placement_scaling snapshot current"
 fi
 
 step "control-plane chaos bench (determinism: two runs must be byte-identical)"

@@ -199,9 +199,10 @@ class ControlChannel {
   // silently — the caller's timeout is the only signal.
   void Send(const std::string& platform, const ControlRequest& request, RespondFn on_response);
 
-  // Fault- and partition-exempt synchronous delivery, used by the legacy
-  // blocking orchestrator API (Deploy/Kill). Still an explicit message:
-  // counted, traced, and deduplicated like any other.
+  // Fault- and partition-exempt synchronous delivery: the transport of the
+  // orchestrator's synchronous calls (Deploy, Kill, consolidated migration,
+  // AdoptMigrated) and of recovery's direct writes. Still an explicit
+  // message: counted, traced, and deduplicated like any other.
   ControlResponse DeliverDirect(const std::string& platform, const ControlRequest& request);
 
   uint64_t sent() const { return sent_; }

@@ -249,16 +249,73 @@ policy::NodeResolver Controller::MakeResolver(const Deployment* trial) const {
   };
 }
 
-bool Controller::CheckAllRequirements(const SymGraph& graph, const Deployment& trial,
-                                      const std::vector<ReachSpec>& specs, std::string* failure,
-                                      uint64_t* steps, bool via_module) const {
+std::optional<SecurityReport> Controller::BuildTrial(const ClientRequest& request,
+                                                   const std::string& module_id,
+                                                   const std::string& platform,
+                                                   Ipv4Address addr, Deployment* trial,
+                                                   std::string* error) const {
+  std::string config_text = SubstituteSelf(request.click_config, addr);
+  auto config = click::ConfigGraph::Parse(config_text, error);
+  if (!config) {
+    *error = "bad configuration: " + *error;
+    return std::nullopt;
+  }
+  trial->module_id = module_id;
+  trial->client_id = request.client_id;
+  trial->platform = platform;
+  trial->addr = addr;
+  trial->config = std::move(*config);
+  trial->config_text = std::move(config_text);
+  // Symbolic execution tells the controller exactly which flows the module
+  // emits; it opens firewall pinholes for precisely those (and only when
+  // the destination explicitly authorized them via the whitelist).
+  for (FlowSpec& pinhole : DeriveEgressPinholes(trial->config, error)) {
+    bool authorized = false;
+    for (const AddrPredicate& pred : pinhole.addr_predicates()) {
+      for (Ipv4Address owned : request.whitelist) {
+        if (pred.prefix.Contains(owned)) {
+          authorized = true;
+        }
+      }
+    }
+    if (authorized) {
+      trial->pinholes.push_back(std::move(pinhole));
+    }
+  }
+  SecurityOptions sec_options;
+  sec_options.requester = request.requester;
+  sec_options.module_addr = addr;
+  sec_options.whitelist = request.whitelist;
+  sec_options.owned_prefixes = request.owned_prefixes;
+  SecurityReport security = CheckModuleSecurity(trial->config, sec_options, error);
+  trial->sandboxed = security.verdict == Verdict::kNeedsSandbox;
+  return security;
+}
+
+std::optional<std::vector<ReachSpec>> Controller::ParseRequirements(const ClientRequest& request,
+                                                                    std::string* error) {
+  std::vector<ReachSpec> specs;
+  for (const std::string& statement : policy::SplitReachStatements(request.requirements)) {
+    auto spec = ReachSpec::Parse(statement, error);
+    if (!spec) {
+      *error = "bad requirement: " + *error;
+      return std::nullopt;
+    }
+    specs.push_back(std::move(*spec));
+  }
+  return specs;
+}
+
+bool Controller::CheckRequirements(const SymGraph& graph, const Deployment& trial,
+                                   const std::vector<ReachSpec>& client_specs,
+                                   std::string* failure, uint64_t* steps) const {
   symexec::EngineOptions options;
   // Long middlebox chains (the Figure 10 scaling topologies) need path
   // budgets proportional to the network diameter.
   options.max_hops =
       std::max(256, static_cast<int>(graph.node_count()) * 2 + 64);
   ReachChecker checker(&graph, MakeResolver(&trial), options);
-  for (const ReachSpec& spec : specs) {
+  auto holds = [&](const ReachSpec& spec, bool via_module) {
     ReachSpec effective = spec;
     if (via_module) {
       // A client requirement is about *its* processing: the flow must pass
@@ -272,6 +329,16 @@ bool Controller::CheckAllRequirements(const SymGraph& graph, const Deployment& t
     *steps += result.engine_steps;
     if (!result.satisfied) {
       *failure = spec.ToString() + ": " + result.explanation;
+    }
+    return result.satisfied;
+  };
+  for (const ReachSpec& spec : operator_policies_) {
+    if (!holds(spec, /*via_module=*/false)) {
+      return false;
+    }
+  }
+  for (const ReachSpec& spec : client_specs) {
+    if (!holds(spec, /*via_module=*/true)) {
       return false;
     }
   }
@@ -279,8 +346,10 @@ bool Controller::CheckAllRequirements(const SymGraph& graph, const Deployment& t
 }
 
 void Controller::RecordDeployMetrics(DeployOutcome* outcome, uint64_t graph_nodes) const {
-  outcome->sim_verify_ns = verify_cost_.ns_per_engine_step * outcome->engine_steps +
-                           verify_cost_.ns_per_graph_node * graph_nodes;
+  constexpr uint64_t kNsPerEngineStep = 2000;  // 2 µs per symbolic-execution step
+  constexpr uint64_t kNsPerGraphNode = 50000;  // 50 µs of model building per node
+  outcome->sim_verify_ns =
+      kNsPerEngineStep * outcome->engine_steps + kNsPerGraphNode * graph_nodes;
   auto& registry = obs::Registry();
   registry.GetCounter("innet_controller_requests_total",
                       {{"outcome", outcome->accepted ? "accepted" : "rejected"}})
@@ -297,13 +366,8 @@ void Controller::RecordDeployMetrics(DeployOutcome* outcome, uint64_t graph_node
   }
 }
 
-DeployOutcome Controller::Deploy(const ClientRequest& request) {
-  return Deploy(request, {});
-}
-
 DeployOutcome Controller::Deploy(const ClientRequest& request,
-                                 const std::vector<std::string>& candidate_platforms,
-                                 bool candidates_ranked) {
+                                 const std::vector<std::string>& candidate_platforms) {
   DeployOutcome outcome;
   uint64_t graph_nodes = 0;
   if (obs::Tracer().enabled()) {
@@ -311,16 +375,11 @@ DeployOutcome Controller::Deploy(const ClientRequest& request,
   }
 
   // Parse the client's requirements once.
-  std::vector<ReachSpec> client_specs;
-  for (const std::string& statement : policy::SplitReachStatements(request.requirements)) {
-    std::string error;
-    auto spec = ReachSpec::Parse(statement, &error);
-    if (!spec) {
-      outcome.reason = "bad requirement: " + error;
-      RecordDeployMetrics(&outcome, graph_nodes);
-      return outcome;
-    }
-    client_specs.push_back(std::move(*spec));
+  std::optional<std::vector<ReachSpec>> client_specs =
+      ParseRequirements(request, &outcome.reason);
+  if (!client_specs) {
+    RecordDeployMetrics(&outcome, graph_nodes);
+    return outcome;
   }
 
   std::vector<const topology::Node*> platforms = network_.Platforms();
@@ -335,25 +394,21 @@ DeployOutcome Controller::Deploy(const ClientRequest& request,
   // request's pinned platform, narrows the search and fixes its order. The
   // verification loop below is unchanged — the scheduler proposes, the
   // verifier disposes.
-  bool keep_caller_order = false;
-  {
-    std::vector<std::string> ordered = candidate_platforms;
-    if (ordered.empty() && !request.pinned_platform.empty()) {
-      ordered.push_back(request.pinned_platform);
-    }
-    if (!ordered.empty()) {
-      keep_caller_order = candidates_ranked;
-      std::vector<const topology::Node*> chosen;
-      for (const std::string& name : ordered) {
-        for (const topology::Node* node : platforms) {
-          if (node->name == name) {
-            chosen.push_back(node);
-            break;
-          }
+  std::vector<std::string> ordered = candidate_platforms;
+  if (ordered.empty() && !request.pinned_platform.empty()) {
+    ordered.push_back(request.pinned_platform);
+  }
+  if (!ordered.empty()) {
+    std::vector<const topology::Node*> chosen;
+    for (const std::string& name : ordered) {
+      for (const topology::Node* node : platforms) {
+        if (node->name == name) {
+          chosen.push_back(node);
+          break;
         }
       }
-      platforms = std::move(chosen);
     }
+    platforms = std::move(chosen);
   }
   if (platforms.empty()) {
     outcome.reason = "no processing platforms available";
@@ -364,11 +419,11 @@ DeployOutcome Controller::Deploy(const ClientRequest& request,
   // Geolocation-style placement: prefer platforms close (in hops) to the
   // traffic sources the client's requirements name — the mechanism behind
   // the CDN/DNS use cases (§8). Ties and requirement-free requests keep the
-  // declaration order. A policy-ranked candidate list keeps its order.
-  if (!keep_caller_order) {
+  // declaration order. A caller-ordered candidate list keeps its order.
+  if (ordered.empty()) {
     policy::NodeResolver resolver = MakeResolver(nullptr);
     std::vector<std::string> anchors;
-    for (const ReachSpec& spec : client_specs) {
+    for (const ReachSpec& spec : *client_specs) {
       for (const std::string& node : resolver(spec.from.spec)) {
         anchors.push_back(node);
       }
@@ -398,66 +453,32 @@ DeployOutcome Controller::Deploy(const ClientRequest& request,
       continue;  // pool exhausted
     }
 
-    // "Compilation": parse the configuration and build its model.
+    // "Compilation": the trial build and its verification graph.
     auto t_build = std::chrono::steady_clock::now();
-    std::string config_text = SubstituteSelf(request.click_config, *addr);
+    Deployment trial;
     std::string error;
-    auto config = click::ConfigGraph::Parse(config_text, &error);
-    if (!config) {
-      outcome.reason = "bad configuration: " + error;
+    std::optional<SecurityReport> security =
+        BuildTrial(request, request.client_id + "-m" + std::to_string(next_module_seq_),
+                   platform->name, *addr, &trial, &error);
+    if (!security) {
+      outcome.reason = error;
       RecordDeployMetrics(&outcome, graph_nodes);
       return outcome;
-    }
-    Deployment trial;
-    trial.module_id = request.client_id + "-m" + std::to_string(next_module_seq_);
-    trial.client_id = request.client_id;
-    trial.platform = platform->name;
-    trial.addr = *addr;
-    trial.config = *config;
-    trial.config_text = config_text;
-    // Symbolic execution tells the controller exactly which flows the module
-    // emits; it opens firewall pinholes for precisely those (and only when
-    // the destination explicitly authorized them via the whitelist).
-    for (FlowSpec& pinhole : DeriveEgressPinholes(*config, &error)) {
-      bool authorized = false;
-      for (const AddrPredicate& pred : pinhole.addr_predicates()) {
-        for (Ipv4Address owned : request.whitelist) {
-          if (pred.prefix.Contains(owned)) {
-            authorized = true;
-          }
-        }
-      }
-      if (authorized) {
-        trial.pinholes.push_back(std::move(pinhole));
-      }
     }
     SymGraph graph = BuildVerificationGraph(&trial, &error);
     graph_nodes += graph.node_count();
     outcome.model_build_ms += MillisSince(t_build);
 
-    // Checking: security rules, then operator policy, then client
+    // Checking: the security verdict, then operator policy, then client
     // requirements — all on this candidate placement.
     auto t_check = std::chrono::steady_clock::now();
-    SecurityOptions sec_options;
-    sec_options.requester = request.requester;
-    sec_options.module_addr = *addr;
-    sec_options.whitelist = request.whitelist;
-    sec_options.owned_prefixes = request.owned_prefixes;
-    SecurityReport security = CheckModuleSecurity(*config, sec_options, &error);
-    outcome.security = security;
-    if (security.verdict == Verdict::kRejected) {
-      outcome.check_ms += MillisSince(t_check);
-      last_failure = "security: " + security.Summary();
+    outcome.security = *security;
+    if (security->verdict == Verdict::kRejected) {
+      last_failure = "security: " + security->Summary();
       continue;
     }
-
     std::string failure;
-    bool ok = CheckAllRequirements(graph, trial, operator_policies_, &failure,
-                                   &outcome.engine_steps, /*via_module=*/false);
-    if (ok) {
-      ok = CheckAllRequirements(graph, trial, client_specs, &failure, &outcome.engine_steps,
-                                /*via_module=*/true);
-    }
+    bool ok = CheckRequirements(graph, trial, *client_specs, &failure, &outcome.engine_steps);
     outcome.check_ms += MillisSince(t_check);
     if (!ok) {
       last_failure = "on " + platform->name + ": " + failure;
@@ -465,7 +486,6 @@ DeployOutcome Controller::Deploy(const ClientRequest& request,
     }
 
     // Commit.
-    trial.sandboxed = security.verdict == Verdict::kNeedsSandbox;
     trial.path_digest = symexec::ComputePathDigest(trial.config).Encode();
     outcome.accepted = true;
     outcome.module_id = trial.module_id;
@@ -491,76 +511,35 @@ bool Controller::RestoreDeployment(const ClientRequest& request, const std::stri
   if (error == nullptr) {
     error = &local_error;
   }
-  for (const Deployment& dep : deployments_) {
-    if (dep.module_id == module_id) {
-      return true;  // already committed — recovery replayed an applied entry
-    }
+  if (FindDeployment(module_id) != nullptr) {
+    return true;  // already committed — recovery replayed an applied entry
   }
   if (network_.Find(platform) == nullptr) {
     *error = "unknown platform " + platform;
     return false;
   }
 
-  std::string config_text = SubstituteSelf(request.click_config, addr);
-  auto config = click::ConfigGraph::Parse(config_text, error);
-  if (!config) {
-    *error = "bad configuration: " + *error;
-    return false;
-  }
   Deployment trial;
-  trial.module_id = module_id;
-  trial.client_id = request.client_id;
-  trial.platform = platform;
-  trial.addr = addr;
-  trial.config = *config;
-  trial.config_text = config_text;
-  for (FlowSpec& pinhole : DeriveEgressPinholes(*config, error)) {
-    bool authorized = false;
-    for (const AddrPredicate& pred : pinhole.addr_predicates()) {
-      for (Ipv4Address owned : request.whitelist) {
-        if (pred.prefix.Contains(owned)) {
-          authorized = true;
-        }
-      }
-    }
-    if (authorized) {
-      trial.pinholes.push_back(std::move(pinhole));
-    }
-  }
-
-  SecurityOptions sec_options;
-  sec_options.requester = request.requester;
-  sec_options.module_addr = addr;
-  sec_options.whitelist = request.whitelist;
-  sec_options.owned_prefixes = request.owned_prefixes;
-  SecurityReport security = CheckModuleSecurity(*config, sec_options, error);
-  if (security.verdict == Verdict::kRejected) {
-    *error = "security: " + security.Summary();
+  std::optional<SecurityReport> security =
+      BuildTrial(request, module_id, platform, addr, &trial, error);
+  if (!security) {
     return false;
   }
-  trial.sandboxed = security.verdict == Verdict::kNeedsSandbox;
+  if (security->verdict == Verdict::kRejected) {
+    *error = "security: " + security->Summary();
+    return false;
+  }
   trial.path_digest = symexec::ComputePathDigest(trial.config).Encode();
 
   if (reverify) {
-    std::vector<ReachSpec> client_specs;
-    for (const std::string& statement : policy::SplitReachStatements(request.requirements)) {
-      auto spec = ReachSpec::Parse(statement, error);
-      if (!spec) {
-        *error = "bad requirement: " + *error;
-        return false;
-      }
-      client_specs.push_back(std::move(*spec));
+    std::optional<std::vector<ReachSpec>> client_specs = ParseRequirements(request, error);
+    if (!client_specs) {
+      return false;
     }
     SymGraph graph = BuildVerificationGraph(&trial, error);
     uint64_t steps = 0;
     std::string failure;
-    bool ok = CheckAllRequirements(graph, trial, operator_policies_, &failure, &steps,
-                                   /*via_module=*/false);
-    if (ok) {
-      ok = CheckAllRequirements(graph, trial, client_specs, &failure, &steps,
-                                /*via_module=*/true);
-    }
-    if (!ok) {
+    if (!CheckRequirements(graph, trial, *client_specs, &failure, &steps)) {
       *error = "on " + platform + ": " + failure;
       return false;
     }
@@ -586,6 +565,15 @@ bool Controller::RestoreDeployment(const ClientRequest& request, const std::stri
     }
   }
   return true;
+}
+
+const Deployment* Controller::FindDeployment(const std::string& module_id) const {
+  for (const Deployment& dep : deployments_) {
+    if (dep.module_id == module_id) {
+      return &dep;
+    }
+  }
+  return nullptr;
 }
 
 bool Controller::Kill(const std::string& module_id) {

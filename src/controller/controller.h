@@ -62,23 +62,20 @@ struct DeployOutcome {
   bool sandboxed = false;
   std::string reason;  // why rejected, or which check failed last
   SecurityReport security;
-  // Timing split, mirroring Figure 10's compilation-vs-checking breakdown.
-  // Wall-clock: goes to bench JSON, never into the metrics registry.
+  // Timing split, mirroring Figure 10's compilation-vs-checking breakdown:
+  // model_build_ms is the trial build (parse, egress pinholes, security
+  // verdict) plus the verification graph, check_ms the operator-policy and
+  // client-requirement checks. Wall-clock: goes to bench JSON, never into
+  // the metrics registry.
   double model_build_ms = 0;
   double check_ms = 0;
   uint64_t engine_steps = 0;
   // Simulated verification latency derived from the deterministic work
-  // measures above via VerifyCostModel — this is what the registry's
+  // measures above (2 µs per engine step, 50 µs of model building per node
+  // of each candidate verification graph) — this is what the registry's
   // innet_controller_verify_latency_ms histogram observes, keeping metric
   // dumps byte-identical across runs of the same (config, seed).
   uint64_t sim_verify_ns = 0;
-};
-
-// Converts the verifier's deterministic work measures (engine steps, nodes
-// of each candidate verification graph) into simulated nanoseconds.
-struct VerifyCostModel {
-  uint64_t ns_per_engine_step = 2000;    // 2 µs per symbolic-execution step
-  uint64_t ns_per_graph_node = 50000;    // 50 µs of model building per node
 };
 
 class Controller {
@@ -89,18 +86,14 @@ class Controller {
   // deployment. Returns false on parse errors.
   bool AddOperatorPolicy(const std::string& reach_statement, std::string* error = nullptr);
 
-  // Processes a deployment request: tries every platform, returns the first
-  // placement satisfying security + operator policy + client requirements.
-  DeployOutcome Deploy(const ClientRequest& request);
-
-  // As above, but only `candidate_platforms` are tried. With
-  // `candidates_ranked` (the scheduler's policy-ranked output) the given
-  // order is kept; otherwise the geolocation sort still applies within the
-  // restricted set. Unknown or failed names are skipped; an empty list
-  // means "no restriction".
+  // Processes a deployment request: tries the platforms in order and returns
+  // the first placement satisfying security + operator policy + client
+  // requirements. A non-empty `candidate_platforms` (the scheduler's
+  // policy-ranked output) restricts the search and fixes its order; unknown
+  // or failed names are skipped. An empty list tries every platform, nearest
+  // to the requirements' traffic sources first.
   DeployOutcome Deploy(const ClientRequest& request,
-                       const std::vector<std::string>& candidate_platforms,
-                       bool candidates_ranked = true);
+                       const std::vector<std::string>& candidate_platforms = {});
 
   // Stops a deployed module. Returns false for unknown ids.
   bool Kill(const std::string& module_id);
@@ -127,10 +120,9 @@ class Controller {
   }
 
   const std::vector<Deployment>& deployments() const { return deployments_; }
+  // The committed deployment with `module_id`, or nullptr.
+  const Deployment* FindDeployment(const std::string& module_id) const;
   const topology::Network& network() const { return network_; }
-
-  void set_verify_cost_model(VerifyCostModel model) { verify_cost_ = model; }
-  const VerifyCostModel& verify_cost_model() const { return verify_cost_; }
 
   // Builds the verification graph for the current network plus all committed
   // deployments (and optionally one trial module). Exposed for tests.
@@ -142,9 +134,24 @@ class Controller {
 
  private:
   std::optional<Ipv4Address> NextAddress(const topology::Node& platform) const;
-  bool CheckAllRequirements(const symexec::SymGraph& graph, const Deployment& trial,
-                            const std::vector<policy::ReachSpec>& specs, std::string* failure,
-                            uint64_t* steps, bool via_module) const;
+  // The trial build shared by Deploy and RestoreDeployment: $SELF
+  // substitution, parse, the Deployment record, the egress pinholes the
+  // client's whitelist authorizes, and the security verdict (which also
+  // decides trial->sandboxed). Returns nullopt with *error set when the
+  // configuration does not parse.
+  std::optional<SecurityReport> BuildTrial(const ClientRequest& request,
+                                           const std::string& module_id,
+                                           const std::string& platform, Ipv4Address addr,
+                                           Deployment* trial, std::string* error) const;
+  // The request's reach statements, or nullopt with *error set.
+  static std::optional<std::vector<policy::ReachSpec>> ParseRequirements(
+      const ClientRequest& request, std::string* error);
+  // Operator policies, then the client's requirements (each of which must
+  // pass through the trial module), on `graph`. Adds the engine steps spent
+  // to *steps; on failure *failure names the first unsatisfied statement.
+  bool CheckRequirements(const symexec::SymGraph& graph, const Deployment& trial,
+                         const std::vector<policy::ReachSpec>& client_specs,
+                         std::string* failure, uint64_t* steps) const;
   // Stamps sim_verify_ns, bumps the registry's request/latency/step
   // instruments, and emits the verify-finish trace event. Called on every
   // Deploy exit path.
@@ -155,7 +162,6 @@ class Controller {
   std::vector<policy::ReachSpec> operator_policies_;
   std::unordered_set<std::string> failed_platforms_;
   uint64_t next_module_seq_ = 1;
-  VerifyCostModel verify_cost_;
 };
 
 }  // namespace innet::controller

@@ -60,6 +60,20 @@ struct Orchestrator::MigrationCtx {
   std::string inline_reason;
 };
 
+// One deploy threaded through admission -> verification -> placement: the
+// request, the outcome so far, what the platform is asked to run, and the
+// quota share riding with it.
+struct Orchestrator::DeployCtx {
+  ClientRequest request;
+  OrchestratedDeploy result;
+  bool consolidate = false;  // the planned placement: the shared VM or a dedicated one
+  std::string config_text;   // the verified config, $SELF substituted
+  uint64_t epoch = 0;        // the placement op's idempotency epoch
+  // Confirmed by the ack. Null when the caller settles the quota itself.
+  std::shared_ptr<scheduler::ReservationGuard> guard;
+  DeployCallback on_done;  // channel placements only
+};
+
 Orchestrator::Orchestrator(topology::Network network, sim::EventQueue* clock,
                            OrchestratorOptions options)
     : Orchestrator(std::move(network), clock, options, nullptr, nullptr) {}
@@ -112,7 +126,7 @@ Orchestrator::~Orchestrator() {
   }
 }
 
-std::shared_ptr<scheduler::ReservationGuard> Orchestrator::MakeChannelGuard(
+std::shared_ptr<scheduler::ReservationGuard> Orchestrator::MakeQuotaGuard(
     const std::string& client_id) {
   auto guard =
       std::make_shared<scheduler::ReservationGuard>(&engine_, client_id, ModuleMemoryBytes());
@@ -149,29 +163,8 @@ bool Orchestrator::ProbePlatform(const std::string& name, scheduler::PlatformRes
 }
 
 Ipv4Address Orchestrator::ModuleAddr(const std::string& module_id) const {
-  for (const Deployment& deployment : controller_.deployments()) {
-    if (deployment.module_id == module_id) {
-      return deployment.addr;
-    }
-  }
-  return Ipv4Address();
-}
-
-Vm::VmId Orchestrator::RebuildSharedVm(const std::string& platform_name, PlatformState* state,
-                                       std::string* error) {
-  ControlRequest req;
-  req.op = ControlOp::kRebuildShared;
-  req.tenant = "shared:" + platform_name;
-  req.attempt_epoch = journal_->MintEpoch();
-  req.tenants = state->consolidated;
-  req.vm_id = state->shared_vm;
-  ControlResponse resp = fleet_->channel().DeliverDirect(platform_name, req);
-  if (!resp.ok) {
-    *error = resp.error;
-    return 0;  // the old shared VM is kept
-  }
-  state->shared_vm = resp.vm_id;
-  return resp.vm_id;  // 0 when the tenant list was empty
+  const Deployment* dep = controller_.FindDeployment(module_id);
+  return dep != nullptr ? dep->addr : Ipv4Address();
 }
 
 void Orchestrator::CommitPlacement(const ClientRequest& request, const std::string& module_id,
@@ -183,28 +176,19 @@ void Orchestrator::CommitPlacement(const ClientRequest& request, const std::stri
   // migration" means: the new placement re-attests under the same keys.
   // Both keys matter: the control plane reports per client id, while
   // consolidated data planes attribute sampled packets by module address.
-  for (const Deployment& dep : controller_.deployments()) {
-    if (dep.module_id == module_id) {
-      obs::IntPathDigest digest;
-      // An empty digest (config with no symbolic model) attests nothing:
-      // leave the tenant unattested rather than flag every walk.
-      if (obs::IntPathDigest::Decode(dep.path_digest, &digest) && !digest.empty()) {
-        obs::Int().SetTenantDigest(request.client_id, digest);
-        obs::Int().SetTenantDigest(dep.addr.ToString(), digest);
-      }
-      break;
-    }
+  // An empty digest (config with no symbolic model) attests nothing: leave
+  // the tenant unattested rather than flag every walk.
+  const Deployment* dep = controller_.FindDeployment(module_id);
+  obs::IntPathDigest digest;
+  if (dep != nullptr && obs::IntPathDigest::Decode(dep->path_digest, &digest) &&
+      !digest.empty()) {
+    obs::Int().SetTenantDigest(request.client_id, digest);
+    obs::Int().SetTenantDigest(dep->addr.ToString(), digest);
   }
 }
 
 void Orchestrator::ClearModuleDigest(const std::string& module_id) {
-  const Deployment* dead = nullptr;
-  for (const Deployment& dep : controller_.deployments()) {
-    if (dep.module_id == module_id) {
-      dead = &dep;
-      break;
-    }
-  }
+  const Deployment* dead = controller_.FindDeployment(module_id);
   if (dead == nullptr) {
     return;
   }
@@ -221,17 +205,20 @@ void Orchestrator::ClearModuleDigest(const std::string& module_id) {
   }
 }
 
-OrchestratedDeploy Orchestrator::Deploy(const ClientRequest& request) {
+bool Orchestrator::Admit(JournalEntryKind kind, const char* span_detail,
+                         std::optional<obs::SpanScope>* span, DeployCtx* d,
+                         std::vector<std::string>* candidates) {
+  const ClientRequest& request = d->request;
   // The request span roots the whole deploy tree: admission, placement
   // ranking, verification, and the on-platform boot all auto-parent to it.
-  std::optional<obs::SpanScope> deploy_span;
   if (obs::Tracer().enabled()) {
-    deploy_span.emplace(obs::Tracer(), clock_->now(), obs::EventKind::kDeployRequest,
-                        "client:" + request.client_id);
+    span->emplace(obs::Tracer(), clock_->now(), obs::EventKind::kDeployRequest,
+                  "client:" + request.client_id, span_detail);
   }
   // Write the intent ahead of everything else: a crash from here on leaves a
   // journal entry to converge from.
-  uint64_t jid = journal_->Begin(JournalEntryKind::kDeploy, request, clock_->now());
+  uint64_t jid = journal_->Begin(kind, request, clock_->now());
+  d->result.journal_id = jid;
   // Admission + placement ranking first: quota and headroom rejections must
   // not burn verification time.
   scheduler::PlacementRequest needs;
@@ -246,10 +233,8 @@ OrchestratedDeploy Orchestrator::Deploy(const ClientRequest& request) {
   if (!decision.admitted) {
     journal_->Advance(jid, JournalState::kRolledBack, clock_->now(),
                       "admission rejected: " + decision.reject_reason);
-    OrchestratedDeploy result;
-    result.journal_id = jid;
-    result.outcome.reason = decision.reject_reason;
-    return result;
+    d->result.outcome.reason = decision.reject_reason;
+    return false;
   }
   if (obs::Tracer().enabled()) {
     std::string ranked;
@@ -263,336 +248,263 @@ OrchestratedDeploy Orchestrator::Deploy(const ClientRequest& request) {
                          "client:" + request.client_id, ranked,
                          static_cast<int64_t>(decision.candidates.size()));
   }
-  // The guard releases the quota share on every early-exit path below;
-  // only a fully-acked placement confirms it.
-  scheduler::ReservationGuard guard(&engine_, request.client_id, ModuleMemoryBytes());
-  OrchestratedDeploy result = DeployOn(request, decision.candidates, jid);
-  if (result.outcome.accepted) {
-    guard.Confirm();
-  }
-  obs::Health().ObserveVerifyLatency(request.client_id,
-                                     static_cast<double>(result.outcome.sim_verify_ns) / 1e6);
-  return result;
+  *candidates = std::move(decision.candidates);
+  return true;
 }
 
-OrchestratedDeploy Orchestrator::DeployOn(const ClientRequest& request,
-                                          const std::vector<std::string>& candidates,
-                                          uint64_t journal_id) {
-  OrchestratedDeploy result;
-  result.journal_id = journal_id;
-  result.outcome = controller_.Deploy(request, candidates);
-  if (!result.outcome.accepted) {
-    if (journal_id != 0) {
-      journal_->Advance(journal_id, JournalState::kRolledBack, clock_->now(),
-                        "verification failed: " + result.outcome.reason);
-    }
-    return result;
+bool Orchestrator::Verify(const std::vector<std::string>& candidates, bool may_consolidate,
+                          DeployCtx* d) {
+  const uint64_t jid = d->result.journal_id;
+  DeployOutcome& outcome = d->result.outcome;
+  outcome = controller_.Deploy(d->request, candidates);
+  if (!outcome.accepted) {
+    journal_->Advance(jid, JournalState::kRolledBack, clock_->now(),
+                      "verification failed: " + outcome.reason);
+    return false;
   }
-  auto it = platforms_.find(result.outcome.platform);
-  if (it == platforms_.end()) {
-    result.outcome.accepted = false;
-    result.outcome.reason = "platform has no data-plane instance";
-    controller_.Kill(result.outcome.module_id);
-    if (journal_id != 0) {
-      journal_->Advance(journal_id, JournalState::kRolledBack, clock_->now(),
-                        result.outcome.reason);
-    }
-    return result;
+  if (platforms_.count(outcome.platform) == 0) {
+    controller_.Kill(outcome.module_id);
+    outcome.accepted = false;
+    outcome.reason = "platform has no data-plane instance";
+    journal_->Advance(jid, JournalState::kRolledBack, clock_->now(), outcome.reason);
+    return false;
   }
-  PlatformState& state = it->second;
   const Deployment& deployment = controller_.deployments().back();
-  bool stateless = platform::IsStatelessConfig(deployment.config) && !result.outcome.sandboxed;
-  JournalEntry* entry = journal_id != 0 ? journal_->Find(journal_id) : nullptr;
-  if (entry != nullptr) {
-    entry->module_id = result.outcome.module_id;
-    entry->platform = result.outcome.platform;
-    entry->addr = result.outcome.module_addr.ToString();
-    entry->sandboxed = result.outcome.sandboxed;
-    entry->consolidated = stateless;
-    entry->path_digest = deployment.path_digest;
-    journal_->Advance(journal_id, JournalState::kVerified, clock_->now());
-  }
+  // Consolidate statically-safe stateless modules: the checker proved each
+  // one safe in isolation; merging adds only the explicit-addressing demux.
+  d->consolidate = may_consolidate && platform::IsStatelessConfig(deployment.config) &&
+                   !outcome.sandboxed;
+  d->config_text = deployment.config_text;
+  d->epoch = journal_->MintEpoch();
+  JournalEntry* entry = journal_->Find(jid);
+  entry->module_id = outcome.module_id;
+  entry->platform = outcome.platform;
+  entry->addr = outcome.module_addr.ToString();
+  entry->sandboxed = outcome.sandboxed;
+  entry->consolidated = d->consolidate;
+  entry->path_digest = deployment.path_digest;
+  entry->op_epoch = d->epoch;
+  journal_->Advance(jid, JournalState::kVerified, clock_->now());
+  return true;
+}
 
-  std::string error;
-  if (stateless) {
-    // Consolidate: static checking already proved the module safe in
-    // isolation; merging adds only the explicit-addressing demux.
-    state.consolidated.push_back(TenantConfig{deployment.addr, deployment.config_text});
-    state.consolidated_module_ids.push_back(result.outcome.module_id);
-    Vm::VmId vm = RebuildSharedVm(result.outcome.platform, &state, &error);
-    if (vm == 0) {
-      state.consolidated.pop_back();
-      state.consolidated_module_ids.pop_back();
-      controller_.Kill(result.outcome.module_id);
-      result.outcome.accepted = false;
-      result.outcome.reason = "consolidation failed: " + error;
-      if (journal_id != 0) {
-        journal_->Advance(journal_id, JournalState::kRolledBack, clock_->now(),
-                          result.outcome.reason);
-      }
-      return result;
-    }
-    result.consolidated = true;
-    result.vm_id = vm;
-    CommitPlacement(request, result.outcome.module_id, result.outcome.platform, 0);
-    if (obs::Tracer().enabled()) {
-      obs::Tracer().Record(clock_->now(), obs::EventKind::kDeployCutover,
-                           "module:" + result.outcome.module_id,
-                           result.outcome.platform + " consolidated", static_cast<int64_t>(vm));
-    }
-    if (journal_id != 0) {
-      if (entry != nullptr) {
-        entry->vm_id = vm;
-      }
-      // The direct path completed synchronously: the platform's ack walks
-      // the entry straight through placed to steady state.
-      journal_->Advance(journal_id, JournalState::kPlaced, clock_->now(), "synchronous ack");
-      journal_->Advance(journal_id, JournalState::kCutover, clock_->now());
-    }
-    return result;
-  }
-
-  // Dedicated VM, sandboxed when the verdict requires it. Still an explicit
-  // control message — just on the channel's fault-exempt direct path.
+ControlRequest Orchestrator::PlacementRequest(const DeployCtx& d) const {
+  const DeployOutcome& outcome = d.result.outcome;
   ControlRequest req;
-  req.op = ControlOp::kInstall;
-  req.tenant = result.outcome.module_id;
-  req.attempt_epoch = journal_->MintEpoch();
-  req.addr = deployment.addr;
-  req.config_text = deployment.config_text;
-  req.sandbox = result.outcome.sandboxed;
-  req.whitelist = request.whitelist;
-  if (entry != nullptr) {
-    entry->op_epoch = req.attempt_epoch;
+  req.tenant = outcome.module_id;
+  req.attempt_epoch = d.epoch;
+  if (d.consolidate) {
+    // Declarative: the shared VM's tenant list as of now plus this one.
+    const PlatformState& state = platforms_.at(outcome.platform);
+    req.op = ControlOp::kRebuildShared;
+    req.tenants = state.consolidated;
+    req.tenants.push_back(TenantConfig{outcome.module_addr, d.config_text});
+    req.vm_id = state.shared_vm;
+  } else {
+    // Dedicated VM, sandboxed when the verdict requires it.
+    req.op = ControlOp::kInstall;
+    req.addr = outcome.module_addr;
+    req.config_text = d.config_text;
+    req.sandbox = outcome.sandboxed;
+    req.whitelist = d.request.whitelist;
   }
-  ControlResponse resp = fleet_->channel().DeliverDirect(result.outcome.platform, req);
+  return req;
+}
+
+bool Orchestrator::CommitAck(DeployCtx* d, const ControlResponse& resp) {
+  OrchestratedDeploy& result = d->result;
+  DeployOutcome& outcome = result.outcome;
+  const uint64_t now = clock_->now();
   if (!resp.ok) {
-    controller_.Kill(result.outcome.module_id);
-    result.outcome.accepted = false;
-    result.outcome.reason = "platform install failed: " + resp.error;
-    if (journal_id != 0) {
-      journal_->Advance(journal_id, JournalState::kRolledBack, clock_->now(),
-                        result.outcome.reason);
-    }
-    return result;
+    controller_.Kill(outcome.module_id);
+    outcome.accepted = false;
+    outcome.reason =
+        (d->consolidate ? "consolidation failed: " : "platform install failed: ") + resp.error;
+    journal_->Advance(result.journal_id, JournalState::kRolledBack, now, outcome.reason);
+    return false;
   }
+  if (d->consolidate) {
+    PlatformState& state = platforms_.at(outcome.platform);
+    state.consolidated.push_back(TenantConfig{outcome.module_addr, d->config_text});
+    state.consolidated_module_ids.push_back(outcome.module_id);
+    state.shared_vm = resp.vm_id;
+  } else if (InNetPlatform* box = fleet_->Get(outcome.platform)) {
+    // Dedicated guests are attributable: tag the owner before the boot
+    // completion fires so lifecycle events feed the tenant's health record.
+    box->SetVmOwner(resp.vm_id, d->request.client_id);
+  }
+  result.consolidated = d->consolidate;
   result.vm_id = resp.vm_id;
-  // Dedicated guests are attributable: tag the owner before the boot
-  // completion fires so lifecycle events feed the tenant's health record.
-  fleet_->Get(result.outcome.platform)->SetVmOwner(resp.vm_id, request.client_id);
-  CommitPlacement(request, result.outcome.module_id, result.outcome.platform, resp.vm_id);
+  CommitPlacement(d->request, outcome.module_id, outcome.platform,
+                  d->consolidate ? 0 : resp.vm_id);
+  if (d->guard != nullptr) {
+    d->guard->Confirm();
+  }
   if (obs::Tracer().enabled()) {
-    obs::Tracer().Record(clock_->now(), obs::EventKind::kDeployCutover,
-                         "module:" + result.outcome.module_id, result.outcome.platform,
+    obs::Tracer().Record(now, obs::EventKind::kDeployCutover, "module:" + outcome.module_id,
+                         d->consolidate ? outcome.platform + " consolidated" : outcome.platform,
                          static_cast<int64_t>(resp.vm_id));
   }
-  if (journal_id != 0) {
-    if (entry != nullptr) {
-      entry->vm_id = resp.vm_id;
-    }
-    journal_->Advance(journal_id, JournalState::kPlaced, clock_->now(), "synchronous ack");
-    journal_->Advance(journal_id, JournalState::kCutover, clock_->now());
+  if (JournalEntry* entry = journal_->Find(result.journal_id)) {
+    entry->vm_id = resp.vm_id;
   }
-  return result;
+  journal_->Advance(result.journal_id, JournalState::kPlaced, now, "platform acked");
+  return true;
+}
+
+void Orchestrator::PlaceDirect(DeployCtx* d) {
+  ControlResponse resp =
+      fleet_->channel().DeliverDirect(d->result.outcome.platform, PlacementRequest(*d));
+  if (CommitAck(d, resp)) {
+    // The direct path completed synchronously: the ack walks the entry
+    // straight through placed to steady state, with no confirm probes.
+    journal_->Advance(d->result.journal_id, JournalState::kCutover, clock_->now(),
+                      "synchronous ack");
+  }
+}
+
+void Orchestrator::PlaceViaChannel(const std::shared_ptr<DeployCtx>& d) {
+  const std::string platform_name = d->result.outcome.platform;
+  auto send = WhileAlive([this, d, platform_name](std::function<void()> next) {
+    // Built only now: a shared-VM rebuild sees every earlier queued rebuild
+    // landed, so its tenant list is the authoritative merge set.
+    client_.Issue(
+        platform_name, PlacementRequest(*d),
+        WhileAlive([this, d, platform_name, next](ControlResponse resp) {
+          const std::string& module_id = d->result.outcome.module_id;
+          if (CommitAck(d.get(), resp)) {
+            ScheduleConfirm(d->result.journal_id, options_.confirm_rounds);
+          } else if (resp.gave_up) {
+            RecordGiveUp(fleet_, clock_, platform_name, "install:" + module_id);
+            QueueCleanup(platform_name, module_id, d->result.outcome.module_addr,
+                         d->consolidate);
+          }
+          if (d->on_done) {
+            d->on_done(d->result);
+          }
+          next();
+        }));
+  });
+  if (d->consolidate) {
+    EnqueueRebuild(platform_name, std::move(send));
+  } else {
+    send([] {});
+  }
+}
+
+bool Orchestrator::Forget(const std::string& module_id) {
+  auto request = requests_.find(module_id);
+  if (request != requests_.end()) {
+    engine_.ReleasePlacement(request->second.client_id, ModuleMemoryBytes());
+    requests_.erase(request);
+  }
+  placements_.erase(module_id);
+  ClearModuleDigest(module_id);
+  return controller_.Kill(module_id);
+}
+
+void Orchestrator::QueueCleanup(const std::string& platform_name, const std::string& module_id,
+                                Ipv4Address addr, bool consolidated) {
+  pending_cleanups_.push_back({platform_name, addr, consolidated});
+  if (!consolidated) {
+    ControlRequest undo;
+    undo.op = ControlOp::kUninstallAddr;
+    undo.tenant = module_id;
+    undo.attempt_epoch = journal_->MintEpoch();
+    undo.addr = addr;
+    client_.Issue(platform_name, undo, nullptr);
+  }
+}
+
+void Orchestrator::CancelMigrationOut(const std::string& source, const std::string& module_id,
+                                      Vm::VmId vm_id) {
+  ControlRequest cancel;
+  cancel.op = ControlOp::kCancelMigration;
+  cancel.tenant = module_id;
+  cancel.attempt_epoch = journal_->MintEpoch();
+  cancel.vm_id = vm_id;
+  client_.Issue(source, cancel, nullptr);
+}
+
+OrchestratedDeploy Orchestrator::Deploy(const ClientRequest& request) {
+  std::optional<obs::SpanScope> span;
+  DeployCtx d;
+  d.request = request;
+  std::vector<std::string> candidates;
+  if (!Admit(JournalEntryKind::kDeploy, "", &span, &d, &candidates)) {
+    return d.result;
+  }
+  // The guard releases the quota share on every early-exit path below;
+  // only a fully-acked placement confirms it.
+  d.guard = MakeQuotaGuard(request.client_id);
+  if (Verify(candidates, /*may_consolidate=*/true, &d)) {
+    PlaceDirect(&d);
+  }
+  obs::Health().ObserveVerifyLatency(request.client_id,
+                                     static_cast<double>(d.result.outcome.sim_verify_ns) / 1e6);
+  return d.result;
 }
 
 void Orchestrator::DeployViaChannel(const ClientRequest& request, DeployCallback on_done) {
-  std::optional<obs::SpanScope> deploy_span;
-  if (obs::Tracer().enabled()) {
-    deploy_span.emplace(obs::Tracer(), clock_->now(), obs::EventKind::kDeployRequest,
-                        "client:" + request.client_id, "channel");
-  }
-  uint64_t jid = journal_->Begin(JournalEntryKind::kDeploy, request, clock_->now());
-  OrchestratedDeploy result;
-  result.journal_id = jid;
-
-  scheduler::PlacementRequest needs;
-  needs.memory_bytes = ModuleMemoryBytes();
-  needs.pinned_platform = request.pinned_platform;
-  scheduler::PlacementDecision decision = engine_.Decide(request.client_id, needs);
-  if (obs::Tracer().enabled()) {
-    obs::Tracer().Record(clock_->now(), obs::EventKind::kAdmission,
-                         "client:" + request.client_id,
-                         decision.admitted ? "admitted" : "rejected: " + decision.reject_reason);
-  }
-  if (!decision.admitted) {
-    journal_->Advance(jid, JournalState::kRolledBack, clock_->now(),
-                      "admission rejected: " + decision.reject_reason);
-    result.outcome.reason = decision.reject_reason;
-    if (on_done) {
-      on_done(result);
+  std::optional<obs::SpanScope> span;
+  auto d = std::make_shared<DeployCtx>();
+  d->request = request;
+  d->on_done = std::move(on_done);
+  std::vector<std::string> candidates;
+  if (Admit(JournalEntryKind::kDeploy, "channel", &span, d.get(), &candidates)) {
+    bool verified = Verify(candidates, /*may_consolidate=*/true, d.get());
+    obs::Health().ObserveVerifyLatency(
+        request.client_id, static_cast<double>(d->result.outcome.sim_verify_ns) / 1e6);
+    if (verified) {
+      // The reservation travels with the async chain; if the chain dies on
+      // any path without confirming, the guard's destructor releases it.
+      d->guard = MakeQuotaGuard(request.client_id);
+      PlaceViaChannel(d);
+      return;
     }
-    return;
   }
+  if (d->on_done) {
+    d->on_done(d->result);
+  }
+}
 
-  result.outcome = controller_.Deploy(request, decision.candidates);
-  obs::Health().ObserveVerifyLatency(request.client_id,
-                                     static_cast<double>(result.outcome.sim_verify_ns) / 1e6);
-  if (!result.outcome.accepted) {
-    journal_->Advance(jid, JournalState::kRolledBack, clock_->now(),
-                      "verification failed: " + result.outcome.reason);
-    if (on_done) {
-      on_done(result);
+void Orchestrator::RestoreSharedVm(const std::string& platform_name, Ipv4Address given_up) {
+  auto task = [this, platform_name, given_up](std::function<void()> next) {
+    const PlatformState& state = platforms_.at(platform_name);
+    InNetPlatform* box = fleet_->Get(platform_name);
+    // An executed rebuild left a VM serving the given-up address. If that VM
+    // also serves the believed tenants it replaced their shared VM: rebuild
+    // the believed list over it. If a later rebuild already took them over,
+    // just retire it. When the rebuild never ran nothing serves the address
+    // and the by-address uninstall is a no-op.
+    Vm::VmId stale = box == nullptr ? 0 : box->InstalledVmFor(given_up);
+    bool restore = stale != 0 && std::any_of(state.consolidated.begin(),
+                                             state.consolidated.end(),
+                                             [&](const TenantConfig& tenant) {
+                                               return box->InstalledVmFor(tenant.addr) == stale;
+                                             });
+    ControlRequest req;
+    req.op = stale == 0 ? ControlOp::kUninstallAddr
+                        : (restore ? ControlOp::kRebuildShared : ControlOp::kUninstallVm);
+    req.tenant = "cleanup:" + given_up.ToString();
+    req.attempt_epoch = journal_->MintEpoch();
+    req.addr = given_up;
+    req.vm_id = stale;
+    if (restore) {
+      req.tenants = state.consolidated;
     }
-    return;
-  }
-  auto it = platforms_.find(result.outcome.platform);
-  if (it == platforms_.end()) {
-    controller_.Kill(result.outcome.module_id);
-    result.outcome.accepted = false;
-    result.outcome.reason = "platform has no data-plane instance";
-    journal_->Advance(jid, JournalState::kRolledBack, clock_->now(), result.outcome.reason);
-    if (on_done) {
-      on_done(result);
-    }
-    return;
-  }
-  const Deployment& deployment = controller_.deployments().back();
-  bool stateless = platform::IsStatelessConfig(deployment.config) && !result.outcome.sandboxed;
-  JournalEntry* entry = journal_->Find(jid);
-  entry->module_id = result.outcome.module_id;
-  entry->platform = result.outcome.platform;
-  entry->addr = result.outcome.module_addr.ToString();
-  entry->sandboxed = result.outcome.sandboxed;
-  entry->consolidated = stateless;
-  entry->path_digest = deployment.path_digest;
-  journal_->Advance(jid, JournalState::kVerified, clock_->now());
-  uint64_t epoch = journal_->MintEpoch();
-  entry->op_epoch = epoch;
-
-  // The reservation travels with the async chain; if the chain dies on any
-  // path without confirming, the guard's destructor releases the share.
-  auto guard = MakeChannelGuard(request.client_id);
-  std::weak_ptr<char> watch = alive_;
-  const std::string platform_name = result.outcome.platform;
-  const std::string module_id = result.outcome.module_id;
-
-  if (stateless) {
-    TenantConfig tenant{deployment.addr, deployment.config_text};
-    EnqueueRebuild(
-        platform_name,
-        [this, watch, jid, request, result, guard, epoch, platform_name, module_id, tenant,
-         on_done](std::function<void()> next) mutable {
-          if (watch.expired()) {
-            return;
-          }
-          // Desired tenant list computed only now: earlier queued rebuilds
-          // have landed, so this is the authoritative merge set.
-          PlatformState& state = platforms_[platform_name];
-          std::vector<TenantConfig> desired = state.consolidated;
-          desired.push_back(tenant);
-          ControlRequest req;
-          req.op = ControlOp::kRebuildShared;
-          req.tenant = module_id;
-          req.attempt_epoch = epoch;
-          req.tenants = std::move(desired);
-          req.vm_id = state.shared_vm;
-          client_.Issue(
-              platform_name, req,
-              [this, watch, jid, request, result, guard, platform_name, module_id, tenant,
-               on_done, next](ControlResponse resp) mutable {
-                if (watch.expired()) {
-                  return;
-                }
-                uint64_t now = clock_->now();
-                if (resp.ok) {
-                  PlatformState& state = platforms_[platform_name];
-                  state.consolidated.push_back(tenant);
-                  state.consolidated_module_ids.push_back(module_id);
-                  state.shared_vm = resp.vm_id;
-                  CommitPlacement(request, module_id, platform_name, 0);
-                  guard->Confirm();
-                  result.consolidated = true;
-                  result.vm_id = resp.vm_id;
-                  if (JournalEntry* e = journal_->Find(jid)) {
-                    e->vm_id = resp.vm_id;
-                  }
-                  journal_->Advance(jid, JournalState::kPlaced, now, "platform acked rebuild");
-                  if (obs::Tracer().enabled()) {
-                    obs::Tracer().Record(now, obs::EventKind::kDeployCutover,
-                                         "module:" + module_id,
-                                         platform_name + " consolidated",
-                                         static_cast<int64_t>(resp.vm_id));
-                  }
-                  ScheduleConfirm(jid, options_.confirm_rounds);
-                } else {
-                  controller_.Kill(module_id);
-                  if (resp.gave_up) {
-                    RecordGiveUp(fleet_, clock_, platform_name, "install:" + module_id);
-                    pending_cleanups_.emplace_back(platform_name, tenant.addr);
-                  }
-                  journal_->Advance(jid, JournalState::kRolledBack, now,
-                                    "install failed: " + resp.error);
-                  result.outcome.accepted = false;
-                  result.outcome.reason = "platform install failed: " + resp.error;
-                }
-                if (on_done) {
-                  on_done(result);
-                }
-                next();
-              });
-        });
-    return;
-  }
-
-  ControlRequest req;
-  req.op = ControlOp::kInstall;
-  req.tenant = module_id;
-  req.attempt_epoch = epoch;
-  req.addr = deployment.addr;
-  req.config_text = deployment.config_text;
-  req.sandbox = result.outcome.sandboxed;
-  req.whitelist = request.whitelist;
-  Ipv4Address addr = deployment.addr;
-  client_.Issue(
-      platform_name, req,
-      [this, watch, jid, request, result, guard, platform_name, module_id, addr,
-       on_done](ControlResponse resp) mutable {
-        if (watch.expired()) {
-          return;
-        }
-        uint64_t now = clock_->now();
-        if (resp.ok) {
-          InNetPlatform* box = fleet_->Get(platform_name);
-          if (box != nullptr) {
-            box->SetVmOwner(resp.vm_id, request.client_id);
-          }
-          CommitPlacement(request, module_id, platform_name, resp.vm_id);
-          guard->Confirm();
-          result.vm_id = resp.vm_id;
-          if (JournalEntry* e = journal_->Find(jid)) {
-            e->vm_id = resp.vm_id;
-          }
-          journal_->Advance(jid, JournalState::kPlaced, now, "platform acked install");
-          if (obs::Tracer().enabled()) {
-            obs::Tracer().Record(now, obs::EventKind::kDeployCutover, "module:" + module_id,
-                                 platform_name, static_cast<int64_t>(resp.vm_id));
-          }
-          ScheduleConfirm(jid, options_.confirm_rounds);
-        } else {
-          controller_.Kill(module_id);
-          if (resp.gave_up) {
-            RecordGiveUp(fleet_, clock_, platform_name, "install:" + module_id);
-            // The platform may have executed the unacked install: queue an
-            // idempotent uninstall for the heal-time reconcile, and fire a
-            // best-effort one now in case only the ack leg was lossy.
-            pending_cleanups_.emplace_back(platform_name, addr);
-            ControlRequest undo;
-            undo.op = ControlOp::kUninstallAddr;
-            undo.tenant = module_id;
-            undo.attempt_epoch = journal_->MintEpoch();
-            undo.addr = addr;
-            client_.Issue(platform_name, undo, nullptr);
-          }
-          journal_->Advance(jid, JournalState::kRolledBack, now,
-                            "install failed: " + resp.error);
-          result.outcome.accepted = false;
-          result.outcome.reason = "platform install failed: " + resp.error;
-        }
-        if (on_done) {
-          on_done(result);
-        }
-      });
+    client_.Issue(platform_name, req,
+                  WhileAlive([this, platform_name, given_up, restore,
+                              next](ControlResponse resp) {
+                    if (restore && resp.ok) {
+                      platforms_.at(platform_name).shared_vm = resp.vm_id;
+                    } else if (resp.gave_up) {
+                      pending_cleanups_.push_back({platform_name, given_up, true});
+                    }
+                    next();
+                  }));
+  };
+  EnqueueRebuild(platform_name, WhileAlive(std::move(task)));
 }
 
 void Orchestrator::EnqueueRebuild(const std::string& platform_name,
@@ -613,26 +525,17 @@ void Orchestrator::RunNextRebuild(const std::string& platform_name) {
   state.rebuild_busy = true;
   auto task = std::move(state.rebuild_queue.front());
   state.rebuild_queue.pop_front();
-  std::weak_ptr<char> watch = alive_;
-  task([this, watch, platform_name] {
-    if (watch.expired()) {
-      return;
-    }
-    RunNextRebuild(platform_name);
-  });
+  task(WhileAlive([this, platform_name] { RunNextRebuild(platform_name); }));
 }
 
 void Orchestrator::ScheduleConfirm(uint64_t journal_id, int rounds_left) {
   if (rounds_left <= 0) {
     return;
   }
-  std::weak_ptr<char> watch = alive_;
-  clock_->ScheduleAfter(options_.confirm_interval, [this, watch, journal_id, rounds_left] {
-    if (watch.expired()) {
-      return;
-    }
-    ConfirmProbe(journal_id, rounds_left);
-  });
+  clock_->ScheduleAfter(options_.confirm_interval,
+                        WhileAlive([this, journal_id, rounds_left] {
+                          ConfirmProbe(journal_id, rounds_left);
+                        }));
 }
 
 void Orchestrator::ConfirmProbe(uint64_t journal_id, int rounds_left) {
@@ -656,15 +559,11 @@ void Orchestrator::ConfirmProbe(uint64_t journal_id, int rounds_left) {
   } else {
     probe.vm_id = placement->second.second;
   }
-  std::weak_ptr<char> watch = alive_;
   bool consolidated = entry->consolidated;
   std::string platform_name = entry->platform;
   client_.Issue(
       platform_name, probe,
-      [this, watch, journal_id, rounds_left, consolidated, platform_name](ControlResponse r) {
-        if (watch.expired()) {
-          return;
-        }
+      WhileAlive([this, journal_id, rounds_left, consolidated, platform_name](ControlResponse r) {
         JournalEntry* entry = journal_->Find(journal_id);
         if (entry == nullptr ||
             (entry->state != JournalState::kPlaced && entry->state != JournalState::kBooted)) {
@@ -698,7 +597,7 @@ void Orchestrator::ConfirmProbe(uint64_t journal_id, int rounds_left) {
         }
         // Still booting / resuming (or a transient error): probe again.
         ScheduleConfirm(journal_id, rounds_left - 1);
-      });
+      }));
 }
 
 bool Orchestrator::Kill(const std::string& module_id) {
@@ -709,14 +608,12 @@ bool Orchestrator::Kill(const std::string& module_id) {
   const std::string platform_name = placement->second.first;
   const Vm::VmId vm_id = placement->second.second;
   PlatformState& state = platforms_.at(platform_name);
-  if (vm_id != 0) {
-    ControlRequest req;
-    req.op = ControlOp::kUninstallVm;
-    req.tenant = module_id;
-    req.attempt_epoch = journal_->MintEpoch();
-    req.vm_id = vm_id;
-    fleet_->channel().DeliverDirect(platform_name, req);
-  } else {
+  ControlRequest req;
+  req.tenant = module_id;
+  req.attempt_epoch = journal_->MintEpoch();
+  req.op = ControlOp::kUninstallVm;
+  req.vm_id = vm_id;
+  if (vm_id == 0) {
     for (size_t i = 0; i < state.consolidated_module_ids.size(); ++i) {
       if (state.consolidated_module_ids[i] == module_id) {
         state.consolidated.erase(state.consolidated.begin() + static_cast<ptrdiff_t>(i));
@@ -725,18 +622,16 @@ bool Orchestrator::Kill(const std::string& module_id) {
         break;
       }
     }
-    std::string error;
-    RebuildSharedVm(platform_name, &state, &error);
+    req.op = ControlOp::kRebuildShared;
+    req.tenants = state.consolidated;
+    req.vm_id = state.shared_vm;
   }
-  auto request = requests_.find(module_id);
-  if (request != requests_.end()) {
-    engine_.ReleasePlacement(request->second.client_id, ModuleMemoryBytes());
-    requests_.erase(request);
+  ControlResponse resp = fleet_->channel().DeliverDirect(platform_name, req);
+  if (vm_id == 0 && resp.ok) {
+    state.shared_vm = resp.vm_id;  // 0 once the last tenant left
   }
-  placements_.erase(placement);
   journal_->MarkModuleTerminal(module_id, JournalState::kKilled, clock_->now(), "killed");
-  ClearModuleDigest(module_id);
-  return controller_.Kill(module_id);
+  return Forget(module_id);
 }
 
 MigrationStart Orchestrator::MigrateTenant(const std::string& module_id,
@@ -802,32 +697,37 @@ MigrationStart Orchestrator::MigrateTenant(const std::string& module_id,
     report.source = source;
     report.target = target_platform;
     report.old_addr = ModuleAddr(module_id);
-    ClientRequest request = request_it->second;
-    request.pinned_platform.clear();
-    OrchestratedDeploy redo = DeployOn(request, {target_platform}, jid);
-    if (!redo.outcome.accepted) {
+    DeployCtx ctx;
+    ctx.request = request_it->second;
+    ctx.request.pinned_platform.clear();
+    ctx.result.journal_id = jid;
+    if (Verify({target_platform}, /*may_consolidate=*/true, &ctx)) {
+      PlaceDirect(&ctx);
+    }
+    const DeployOutcome& redo = ctx.result.outcome;
+    if (!redo.accepted) {
       ctr_migrations_aborted_->Increment();
       if (obs::Tracer().enabled()) {
         obs::Tracer().Record(clock_->now(), obs::EventKind::kMigrateAbort, "module:" + module_id,
-                             redo.outcome.reason);
+                             redo.reason);
       }
-      report.reason = "target verification failed: " + redo.outcome.reason;
+      report.reason = "target verification failed: " + redo.reason;
       if (on_done) {
         on_done(report);
       }
       start.started = true;
       return start;
     }
-    scheduler::ReservationGuard guard(&engine_, request.client_id, ModuleMemoryBytes());
+    // The new placement's quota share; Kill releases the old one.
+    engine_.CommitPlacement(ctx.request.client_id, ModuleMemoryBytes());
     if (supersedes != 0) {
       journal_->Advance(supersedes, JournalState::kSuperseded, clock_->now(),
                         "migrated to " + target_platform);
     }
-    Kill(module_id);  // releases the old placement's quota share
-    guard.Confirm();
+    Kill(module_id);
     report.ok = true;
-    report.new_module_id = redo.outcome.module_id;
-    report.new_addr = redo.outcome.module_addr;
+    report.new_module_id = redo.module_id;
+    report.new_addr = redo.module_addr;
     ctr_migrations_completed_->Increment();
     if (obs::Tracer().enabled()) {
       obs::Tracer().Record(clock_->now(), obs::EventKind::kMigrateCutover, "module:" + module_id,
@@ -872,14 +772,10 @@ MigrationStart Orchestrator::MigrateTenant(const std::string& module_id,
     req.tenant = module_id;
     req.attempt_epoch = e->op_epoch;
     req.vm_id = vm_id;
-    std::weak_ptr<char> watch = alive_;
     obs::ScopedParent in_migration(obs::Tracer(), migrate_span);
-    client_.Issue(source, req, [this, watch, ctx](ControlResponse response) {
-      if (watch.expired()) {
-        return;
-      }
+    client_.Issue(source, req, WhileAlive([this, ctx](ControlResponse response) {
       MigrationSuspendDone(ctx, std::move(response));
-    });
+    }));
   }
   if (ctx->inline_failed) {
     // Mirrors the old in-process behavior: a guest that is not running
@@ -938,27 +834,14 @@ void Orchestrator::MigrationSuspendDone(const std::shared_ptr<MigrationCtx>& ctx
       // The suspend may or may not have landed; best-effort cancel now, the
       // heal-time reconcile resolves whatever remains.
       RecordGiveUp(fleet_, clock_, ctx->source, "suspend:" + ctx->module_id);
-      ControlRequest cancel;
-      cancel.op = ControlOp::kCancelMigration;
-      cancel.tenant = ctx->module_id;
-      cancel.attempt_epoch = journal_->MintEpoch();
-      cancel.vm_id = ctx->vm_id;
-      client_.Issue(ctx->source, cancel, nullptr);
+      CancelMigrationOut(ctx->source, ctx->module_id, ctx->vm_id);
     }
     AbortMigration(ctx, response.error);
     return;
   }
   obs::ScopedParent in_migration(obs::Tracer(), ctx->migrate_span);
-  auto cancel_source = [this, &ctx] {
-    ControlRequest cancel;
-    cancel.op = ControlOp::kCancelMigration;
-    cancel.tenant = ctx->module_id;
-    cancel.attempt_epoch = journal_->MintEpoch();
-    cancel.vm_id = ctx->vm_id;
-    client_.Issue(ctx->source, cancel, nullptr);
-  };
   if (placements_.count(ctx->module_id) == 0 || requests_.count(ctx->module_id) == 0) {
-    cancel_source();
+    CancelMigrationOut(ctx->source, ctx->module_id, ctx->vm_id);
     AbortMigration(ctx, "module disappeared during suspend");
     return;
   }
@@ -969,7 +852,7 @@ void Orchestrator::MigrationSuspendDone(const std::shared_ptr<MigrationCtx>& ctx
   // old one disappear.
   DeployOutcome redo = controller_.Deploy(ctx->request, {ctx->target});
   if (!redo.accepted) {
-    cancel_source();
+    CancelMigrationOut(ctx->source, ctx->module_id, ctx->vm_id);
     AbortMigration(ctx, "target verification failed: " + redo.reason);
     return;
   }
@@ -983,7 +866,7 @@ void Orchestrator::MigrationSuspendDone(const std::shared_ptr<MigrationCtx>& ctx
   journal_->Advance(ctx->journal_id, JournalState::kVerified, clock_->now(),
                     "target verified");
   // Reserve the target's quota share for the duration of the transfer.
-  ctx->guard = MakeChannelGuard(ctx->request.client_id);
+  ctx->guard = MakeQuotaGuard(ctx->request.client_id);
 
   ControlRequest exp;
   exp.op = ControlOp::kSnapshotExport;
@@ -993,13 +876,9 @@ void Orchestrator::MigrationSuspendDone(const std::shared_ptr<MigrationCtx>& ctx
   if (e != nullptr) {
     e->op_epoch = exp.attempt_epoch;
   }
-  std::weak_ptr<char> watch = alive_;
-  client_.Issue(ctx->source, exp, [this, watch, ctx](ControlResponse resp) {
-    if (watch.expired()) {
-      return;
-    }
+  client_.Issue(ctx->source, exp, WhileAlive([this, ctx](ControlResponse resp) {
     MigrationExportDone(ctx, std::move(resp));
-  });
+  }));
 }
 
 void Orchestrator::MigrationExportDone(const std::shared_ptr<MigrationCtx>& ctx,
@@ -1014,12 +893,7 @@ void Orchestrator::MigrationExportDone(const std::shared_ptr<MigrationCtx>& ctx,
     }
     // The guest was lost while suspended; clear the migration mark so the
     // watchdog path owns whatever is left of it.
-    ControlRequest cancel;
-    cancel.op = ControlOp::kCancelMigration;
-    cancel.tenant = ctx->module_id;
-    cancel.attempt_epoch = journal_->MintEpoch();
-    cancel.vm_id = ctx->vm_id;
-    client_.Issue(ctx->source, cancel, nullptr);
+    CancelMigrationOut(ctx->source, ctx->module_id, ctx->vm_id);
     AbortMigration(ctx, "detach failed: " + response.error);
     return;
   }
@@ -1036,13 +910,9 @@ void Orchestrator::MigrationExportDone(const std::shared_ptr<MigrationCtx>& ctx,
   if (JournalEntry* e = journal_->Find(ctx->journal_id)) {
     e->op_epoch = imp.attempt_epoch;
   }
-  std::weak_ptr<char> watch = alive_;
-  client_.Issue(ctx->target, imp, [this, watch, ctx](ControlResponse resp) {
-    if (watch.expired()) {
-      return;
-    }
+  client_.Issue(ctx->target, imp, WhileAlive([this, ctx](ControlResponse resp) {
     MigrationImportDone(ctx, std::move(resp));
-  });
+  }));
 }
 
 void Orchestrator::MigrationImportDone(const std::shared_ptr<MigrationCtx>& ctx,
@@ -1064,13 +934,9 @@ void Orchestrator::MigrationImportDone(const std::shared_ptr<MigrationCtx>& ctx,
     if (JournalEntry* e = journal_->Find(ctx->journal_id)) {
       e->op_epoch = cut.attempt_epoch;
     }
-    std::weak_ptr<char> watch = alive_;
-    client_.Issue(ctx->target, cut, [this, watch, ctx](ControlResponse resp) {
-      if (watch.expired()) {
-        return;
-      }
+    client_.Issue(ctx->target, cut, WhileAlive([this, ctx](ControlResponse resp) {
       MigrationCutoverDone(ctx, std::move(resp));
-    });
+    }));
     return;
   }
 
@@ -1084,15 +950,7 @@ void Orchestrator::MigrationImportDone(const std::shared_ptr<MigrationCtx>& ctx,
   controller_.Kill(ctx->redo.module_id);
   if (response.gave_up) {
     RecordGiveUp(fleet_, clock_, ctx->target, "import:" + ctx->redo.module_id);
-    // The unacked import may have executed: queue an idempotent uninstall
-    // for the heal reconcile and fire a best-effort one now.
-    pending_cleanups_.emplace_back(ctx->target, ctx->redo.module_addr);
-    ControlRequest undo;
-    undo.op = ControlOp::kUninstallAddr;
-    undo.tenant = ctx->redo.module_id;
-    undo.attempt_epoch = journal_->MintEpoch();
-    undo.addr = ctx->redo.module_addr;
-    client_.Issue(ctx->target, undo, nullptr);
+    QueueCleanup(ctx->target, ctx->redo.module_id, ctx->redo.module_addr, false);
   }
   ControlRequest back;
   back.op = ControlOp::kSnapshotImport;
@@ -1100,11 +958,7 @@ void Orchestrator::MigrationImportDone(const std::shared_ptr<MigrationCtx>& ctx,
   back.attempt_epoch = journal_->MintEpoch();
   back.addr = ctx->report.old_addr;
   back.moved = ctx->moved;
-  std::weak_ptr<char> watch = alive_;
-  client_.Issue(ctx->source, back, [this, watch, ctx, fail_reason](ControlResponse resp) {
-    if (watch.expired()) {
-      return;
-    }
+  client_.Issue(ctx->source, back, WhileAlive([this, ctx, fail_reason](ControlResponse resp) {
     obs::ScopedParent in_migration(obs::Tracer(), ctx->migrate_span);
     if (resp.ok) {
       auto placement = placements_.find(ctx->module_id);
@@ -1123,16 +977,12 @@ void Orchestrator::MigrationImportDone(const std::shared_ptr<MigrationCtx>& ctx,
       AbortMigration(ctx, fail_reason);
     } else {
       // The guest state is unrecoverable: the tenant is gone.
-      engine_.ReleasePlacement(ctx->request.client_id, ModuleMemoryBytes());
-      placements_.erase(ctx->module_id);
-      requests_.erase(ctx->module_id);
-      ClearModuleDigest(ctx->module_id);
-      controller_.Kill(ctx->module_id);
+      Forget(ctx->module_id);
       journal_->MarkModuleTerminal(ctx->module_id, JournalState::kKilled, clock_->now(),
                                    "guest lost in failed migration");
       AbortMigration(ctx, fail_reason + "; source re-adopt failed: " + resp.error);
     }
-  });
+  }));
 }
 
 void Orchestrator::MigrationCutoverDone(const std::shared_ptr<MigrationCtx>& ctx,
@@ -1149,14 +999,11 @@ void Orchestrator::MigrationCutoverDone(const std::shared_ptr<MigrationCtx>& ctx
   uint64_t now = clock_->now();
   journal_->MarkModuleTerminal(ctx->module_id, JournalState::kSuperseded, now,
                                "migrated to " + ctx->target);
-  placements_.erase(ctx->module_id);
-  requests_.erase(ctx->module_id);
-  // Clear the old placement's address key first; CommitPlacement below
-  // re-registers the tenant under the new module's digest and address.
-  ClearModuleDigest(ctx->module_id);
-  controller_.Kill(ctx->module_id);
+  // Forget the old placement (its quota share and address key) first;
+  // CommitPlacement re-registers the tenant under the new module's digest
+  // and address.
+  Forget(ctx->module_id);
   CommitPlacement(ctx->request, ctx->redo.module_id, ctx->target, ctx->new_vm_id);
-  engine_.ReleasePlacement(ctx->request.client_id, ModuleMemoryBytes());  // the old share
   if (ctx->guard != nullptr) {
     ctx->guard->Confirm();
   }
@@ -1305,11 +1152,7 @@ FailoverReport Orchestrator::MarkPlatformFailed(const std::string& platform_name
   for (const auto& [module_id, request] : stranded) {
     journal_->MarkModuleTerminal(module_id, JournalState::kKilled, clock_->now(),
                                  "platform failed");
-    ClearModuleDigest(module_id);
-    controller_.Kill(module_id);
-    engine_.ReleasePlacement(request.client_id, ModuleMemoryBytes());
-    placements_.erase(module_id);
-    requests_.erase(module_id);
+    Forget(module_id);
   }
 
   // Re-verify and re-place every stranded tenant on the survivors — a
@@ -1392,13 +1235,8 @@ RecoveryReport Orchestrator::RecoverFromJournal() {
     PlatformState& state = platforms_[e->platform];
     Vm::VmId dedicated = 0;
     if (e->consolidated) {
-      const Deployment* dep = nullptr;
-      for (const Deployment& d : controller_.deployments()) {
-        if (d.module_id == e->module_id) {
-          dep = &d;
-        }
-      }
-      state.consolidated.push_back(TenantConfig{*addr, dep != nullptr ? dep->config_text : ""});
+      state.consolidated.push_back(
+          TenantConfig{*addr, controller_.FindDeployment(e->module_id)->config_text});
       state.consolidated_module_ids.push_back(e->module_id);
       state.shared_vm = box->InstalledVmFor(*addr);
     } else {
@@ -1412,6 +1250,10 @@ RecoveryReport Orchestrator::RecoverFromJournal() {
   // Snapshot the id list: converging an entry can append fresh entries
   // (re-placements), which must not themselves be scanned.
   std::vector<uint64_t> ids;
+  // Applied shared-VM rebuilds that failed re-verification. They are undone
+  // after the scan, once every live tenant on the platform is adopted into
+  // the believed list that the undo restores.
+  std::vector<std::pair<std::string, Ipv4Address>> shared_undos;
   for (const JournalEntry& e : journal_->entries()) {
     ids.push_back(e.id);
   }
@@ -1466,7 +1308,9 @@ RecoveryReport Orchestrator::RecoverFromJournal() {
               ScheduleConfirm(id, options_.confirm_rounds);
               ++report.completed;
             } else {
-              if (auto addr = Ipv4Address::Parse(e->addr)) {
+              if (auto addr = Ipv4Address::Parse(e->addr); addr && e->consolidated) {
+                shared_undos.emplace_back(e->platform, *addr);
+              } else if (addr) {
                 ControlRequest undo;
                 undo.op = ControlOp::kUninstallAddr;
                 undo.tenant = e->module_id;
@@ -1478,7 +1322,7 @@ RecoveryReport Orchestrator::RecoverFromJournal() {
             }
             break;
           }
-          // Not applied: restore belief and re-send the install under its
+          // Not applied: restore belief and re-send the placement under its
           // original token — if the platform did execute it and only the
           // ack was lost, the endpoint dedups and answers from cache.
           auto addr = Ipv4Address::Parse(e->addr);
@@ -1490,67 +1334,19 @@ RecoveryReport Orchestrator::RecoverFromJournal() {
             ++report.rolled_back;
             break;
           }
-          const Deployment* dep = nullptr;
-          for (const Deployment& d : controller_.deployments()) {
-            if (d.module_id == e->module_id) {
-              dep = &d;
-            }
-          }
-          auto guard = MakeChannelGuard(e->request.client_id);
-          std::weak_ptr<char> watch = alive_;
-          ControlRequest req;
-          req.tenant = e->module_id;
-          req.attempt_epoch = e->op_epoch;
-          const std::string platform_name = e->platform;
-          const std::string module_id = e->module_id;
-          const ClientRequest request = e->request;
-          const bool consolidated = e->consolidated;
-          const Ipv4Address module_addr = *addr;
-          const std::string config_text = dep != nullptr ? dep->config_text : "";
-          if (consolidated) {
-            PlatformState& state = platforms_[platform_name];
-            req.op = ControlOp::kRebuildShared;
-            req.tenants = state.consolidated;
-            req.tenants.push_back(TenantConfig{module_addr, config_text});
-            req.vm_id = state.shared_vm;
-          } else {
-            req.op = ControlOp::kInstall;
-            req.addr = module_addr;
-            req.config_text = config_text;
-            req.sandbox = e->sandboxed;
-            req.whitelist = request.whitelist;
-          }
-          client_.Issue(
-              platform_name, req,
-              [this, watch, id, guard, request, platform_name, module_id, consolidated,
-               module_addr, config_text](ControlResponse resp) {
-                if (watch.expired()) {
-                  return;
-                }
-                uint64_t ack_now = clock_->now();
-                if (!resp.ok) {
-                  controller_.Kill(module_id);
-                  journal_->Advance(id, JournalState::kRolledBack, ack_now,
-                                    "re-sent install failed: " + resp.error);
-                  return;
-                }
-                PlatformState& state = platforms_[platform_name];
-                if (consolidated) {
-                  state.consolidated.push_back(TenantConfig{module_addr, config_text});
-                  state.consolidated_module_ids.push_back(module_id);
-                  state.shared_vm = resp.vm_id;
-                } else if (InNetPlatform* box = fleet_->Get(platform_name)) {
-                  box->SetVmOwner(resp.vm_id, request.client_id);
-                }
-                if (JournalEntry* acked = journal_->Find(id)) {
-                  acked->vm_id = resp.vm_id;
-                }
-                CommitPlacement(request, module_id, platform_name,
-                                consolidated ? 0 : resp.vm_id);
-                guard->Confirm();
-                journal_->Advance(id, JournalState::kPlaced, ack_now, "re-sent install acked");
-                ScheduleConfirm(id, options_.confirm_rounds);
-              });
+          auto d = std::make_shared<DeployCtx>();
+          d->request = e->request;
+          d->result.journal_id = id;
+          d->result.outcome.accepted = true;
+          d->result.outcome.module_id = e->module_id;
+          d->result.outcome.platform = e->platform;
+          d->result.outcome.module_addr = *addr;
+          d->result.outcome.sandboxed = e->sandboxed;
+          d->consolidate = e->consolidated;
+          d->epoch = e->op_epoch;
+          d->config_text = controller_.FindDeployment(e->module_id)->config_text;
+          d->guard = MakeQuotaGuard(e->request.client_id);
+          PlaceViaChannel(d);
           ++report.resumed;
           break;
         }
@@ -1629,6 +1425,9 @@ RecoveryReport Orchestrator::RecoverFromJournal() {
         break;
     }
   }
+  for (const auto& [platform_name, addr] : shared_undos) {
+    RestoreSharedVm(platform_name, addr);
+  }
   return report;
 }
 
@@ -1697,21 +1496,26 @@ ReconcileReport Orchestrator::ReconcilePlatform(const std::string& platform_name
       ++report.rearmed;
     }
   }
-  // Flush deferred cleanups: installs that gave up unacked while the
-  // platform was cut off may have executed — uninstall them by address.
+  // Flush deferred cleanups: placements that gave up unacked while the
+  // platform was cut off may have executed. A dedicated install is undone by
+  // address; a shared-VM rebuild by restoring the believed tenant list.
   for (auto it = pending_cleanups_.begin(); it != pending_cleanups_.end();) {
-    if (it->first == platform_name) {
+    if (it->platform != platform_name) {
+      ++it;
+      continue;
+    }
+    if (it->consolidated) {
+      RestoreSharedVm(platform_name, it->addr);
+    } else {
       ControlRequest undo;
       undo.op = ControlOp::kUninstallAddr;
-      undo.tenant = "cleanup:" + it->second.ToString();
+      undo.tenant = "cleanup:" + it->addr.ToString();
       undo.attempt_epoch = journal_->MintEpoch();
-      undo.addr = it->second;
+      undo.addr = it->addr;
       client_.Issue(platform_name, undo, nullptr);
-      ++report.cleanups;
-      it = pending_cleanups_.erase(it);
-    } else {
-      ++it;
     }
+    ++report.cleanups;
+    it = pending_cleanups_.erase(it);
   }
   const char* reconcile_outcome = report.lost == 0 ? "clean" : "divergent";
   obs::Registry()
@@ -1767,26 +1571,14 @@ void Orchestrator::ExportTenant(const std::string& module_id, ExportCallback on_
   req.tenant = module_id;
   req.attempt_epoch = journal_->MintEpoch();
   req.vm_id = vm_id;
-  std::weak_ptr<char> watch = alive_;
   client_.Issue(
       source, req,
-      [this, watch, module_id, source, vm_id, out, on_done](ControlResponse response) mutable {
-        if (watch.expired()) {
-          return;
-        }
-        auto cancel_source = [this, &module_id, &source, vm_id] {
-          ControlRequest cancel;
-          cancel.op = ControlOp::kCancelMigration;
-          cancel.tenant = module_id;
-          cancel.attempt_epoch = journal_->MintEpoch();
-          cancel.vm_id = vm_id;
-          client_.Issue(source, cancel, nullptr);
-        };
+      WhileAlive([this, module_id, source, vm_id, out, on_done](ControlResponse response) mutable {
         if (!response.ok) {
           if (response.gave_up) {
             RecordGiveUp(fleet_, clock_, source, "region_export:" + module_id);
           }
-          cancel_source();
+          CancelMigrationOut(source, module_id, vm_id);
           out.error = "suspend failed: " + response.error;
           if (on_done) {
             on_done(out);
@@ -1800,7 +1592,7 @@ void Orchestrator::ExportTenant(const std::string& module_id, ExportCallback on_
         exp.vm_id = vm_id;
         ControlResponse resp = fleet_->channel().DeliverDirect(source, exp);
         if (!resp.ok || !resp.moved) {
-          cancel_source();
+          CancelMigrationOut(source, module_id, vm_id);
           out.error = "detach failed: " + resp.error;
           if (on_done) {
             on_done(out);
@@ -1811,17 +1603,13 @@ void Orchestrator::ExportTenant(const std::string& module_id, ExportCallback on_
         // controller's deployment record, and journal the hand-off.
         journal_->MarkModuleTerminal(module_id, JournalState::kSuperseded, clock_->now(),
                                      "exported to region coordinator");
-        engine_.ReleasePlacement(out.request.client_id, ModuleMemoryBytes());
-        placements_.erase(module_id);
-        requests_.erase(module_id);
-        ClearModuleDigest(module_id);
-        controller_.Kill(module_id);
+        Forget(module_id);
         out.ok = true;
         out.moved = resp.moved;
         if (on_done) {
           on_done(out);
         }
-      });
+      }));
 }
 
 TenantAdopt Orchestrator::AdoptMigrated(
@@ -1841,46 +1629,28 @@ TenantAdopt Orchestrator::AdoptMigrated(
   // Stateful adopt: admission → verification → import the frozen guest →
   // replay parked traffic. The target half of MigrationImportDone, with the
   // snapshot arriving from the coordinator instead of a sibling platform.
-  uint64_t jid = journal_->Begin(JournalEntryKind::kMigration, request, clock_->now());
-  scheduler::PlacementRequest needs;
-  needs.memory_bytes = ModuleMemoryBytes();
-  needs.pinned_platform = request.pinned_platform;
-  scheduler::PlacementDecision decision = engine_.Decide(request.client_id, needs);
-  if (!decision.admitted) {
-    journal_->Advance(jid, JournalState::kRolledBack, clock_->now(),
-                      "admission rejected: " + decision.reject_reason);
-    out.error = decision.reject_reason;
+  std::optional<obs::SpanScope> span;
+  DeployCtx d;
+  d.request = request;
+  std::vector<std::string> candidates;
+  if (!Admit(JournalEntryKind::kMigration, "adopt", &span, &d, &candidates)) {
+    out.error = d.result.outcome.reason;
     return out;
   }
-  scheduler::ReservationGuard guard(&engine_, request.client_id, ModuleMemoryBytes());
-  DeployOutcome redo = controller_.Deploy(request, decision.candidates);
-  if (!redo.accepted) {
-    journal_->Advance(jid, JournalState::kRolledBack, clock_->now(),
-                      "verification failed: " + redo.reason);
-    out.error = redo.reason;
+  d.guard = MakeQuotaGuard(request.client_id);
+  // The guest arrives in its own VM, whatever the config's shape.
+  if (!Verify(candidates, /*may_consolidate=*/false, &d)) {
+    out.error = d.result.outcome.reason;
     return out;
   }
-  if (platforms_.count(redo.platform) == 0) {
-    controller_.Kill(redo.module_id);
-    journal_->Advance(jid, JournalState::kRolledBack, clock_->now(),
-                      "platform has no data-plane instance");
-    out.error = "platform has no data-plane instance";
-    return out;
-  }
-  JournalEntry* entry = journal_->Find(jid);
-  entry->module_id = redo.module_id;
-  entry->platform = redo.platform;
-  entry->addr = redo.module_addr.ToString();
-  entry->sandboxed = redo.sandboxed;
-  journal_->Advance(jid, JournalState::kVerified, clock_->now(), "adopting imported guest");
-
+  const DeployOutcome& redo = d.result.outcome;
+  const uint64_t jid = d.result.journal_id;
   ControlRequest imp;
   imp.op = ControlOp::kSnapshotImport;
   imp.tenant = redo.module_id;
-  imp.attempt_epoch = journal_->MintEpoch();
+  imp.attempt_epoch = d.epoch;
   imp.addr = redo.module_addr;
   imp.moved = moved;
-  entry->op_epoch = imp.attempt_epoch;
   ControlResponse resp = fleet_->channel().DeliverDirect(redo.platform, imp);
   if (!resp.ok) {
     controller_.Kill(redo.module_id);
@@ -1902,7 +1672,7 @@ TenantAdopt Orchestrator::AdoptMigrated(
     box->SetVmOwner(resp.vm_id, request.client_id);
   }
   CommitPlacement(request, redo.module_id, redo.platform, resp.vm_id);
-  guard.Confirm();
+  d.guard->Confirm();
   if (JournalEntry* e = journal_->Find(jid)) {
     e->vm_id = resp.vm_id;
   }

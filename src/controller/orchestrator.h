@@ -35,6 +35,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -44,6 +45,7 @@
 #include "src/controller/controller.h"
 #include "src/controller/fleet.h"
 #include "src/controller/journal.h"
+#include "src/obs/trace.h"
 #include "src/platform/platform.h"
 #include "src/scheduler/engine.h"
 
@@ -123,7 +125,7 @@ struct ReconcileReport {
   size_t healthy = 0;   // guest present (running, booting, or suspended)
   size_t lost = 0;      // guest gone: tenant killed + journaled
   size_t rearmed = 0;   // in-flight confirm chains restarted
-  size_t cleanups = 0;  // deferred uninstalls for unacked installs flushed
+  size_t cleanups = 0;  // deferred cleanups of unacked placements flushed
 };
 
 // Result of evicting a tenant for cross-region migration: the original
@@ -189,17 +191,21 @@ class Orchestrator {
   // policy ranking, skipped for pinned requests) → controller verification
   // over the candidates in order → instantiation. On rejection,
   // `outcome.accepted` is false and nothing is instantiated or accounted.
-  // Control messages use the channel's fault-exempt direct path, so the call
-  // stays synchronous; use DeployViaChannel to exercise the lossy channel.
+  // The install/rebuild message takes the channel's fault-exempt direct
+  // path, so the call is synchronous: an accepted deploy returns with its
+  // journal entry already at cut-over, with no confirmation probes.
   OrchestratedDeploy Deploy(const ClientRequest& request);
 
-  // As Deploy, but the install travels over the (possibly lossy) control
-  // channel with idempotent retries; `on_done` fires exactly once when the
-  // placement is acked or abandoned. Under an ideal channel the whole flow
-  // completes before this returns. Mixing channel deploys with synchronous
-  // Deploy calls for the *same* platform's shared VM while one is still in
-  // flight is unsupported (the shared-VM rebuild queue serializes channel
-  // deploys only).
+  // The same pipeline as Deploy, but the install/rebuild travels over the
+  // (possibly lossy) control channel with idempotent retries, shared-VM
+  // rebuilds are serialized per platform, and the entry stops at placed
+  // until confirmation probes see the guest up. `on_done` fires exactly once
+  // when the placement is acked or abandoned; under an ideal channel that
+  // happens before this returns. An abandoned (unacked) placement is queued
+  // for cleanup at the platform's next reconcile. Mixing channel deploys with
+  // synchronous Deploy calls for the *same* platform's shared VM while one
+  // is still in flight is unsupported (the rebuild queue serializes channel
+  // placements only).
   void DeployViaChannel(const ClientRequest& request, DeployCallback on_done = nullptr);
 
   // Stops a module: removes its VM or rebuilds the shared VM without it.
@@ -311,19 +317,44 @@ class Orchestrator {
     std::deque<std::function<void(std::function<void()>)>> rebuild_queue;
   };
   struct MigrationCtx;
+  struct DeployCtx;
+  // An unacked placement that gave up: the platform may or may not have
+  // executed it. ReconcilePlatform flushes a cleanup for each.
+  struct PendingCleanup {
+    std::string platform;
+    Ipv4Address addr;
+    bool consolidated = false;
+  };
 
-  // Rebuilds `state`'s shared VM from its current tenant list over the
-  // channel's direct path. Returns 0 and fills *error on failure (the old
-  // VM is kept in that case).
-  platform::Vm::VmId RebuildSharedVm(const std::string& platform_name, PlatformState* state,
-                                     std::string* error);
-
-  // Verification + instantiation over an explicit candidate order, without
-  // admission (Deploy and the migration paths wrap it). When `journal_id`
-  // is non-zero the entry is advanced through verified/placed/cut-over (or
-  // rolled back) as the synchronous flow progresses.
-  OrchestratedDeploy DeployOn(const ClientRequest& request,
-                              const std::vector<std::string>& candidates, uint64_t journal_id);
+  // The deploy pipeline. Every entry point (Deploy, DeployViaChannel,
+  // AdoptMigrated, consolidated migration, journal recovery) runs the steps
+  // it needs; only the transport of the placement message differs.
+  //
+  // Admission: opens the request span (when tracing), writes the journal
+  // intent, and asks the placement engine. On rejection the entry is rolled
+  // back, d->result says why, and false is returned.
+  bool Admit(JournalEntryKind kind, const char* span_detail,
+             std::optional<obs::SpanScope>* span, DeployCtx* d,
+             std::vector<std::string>* candidates);
+  // Verification: the controller over `candidates` in order. On rejection
+  // (or a platform with no data-plane instance) the entry is rolled back;
+  // otherwise the placement is recorded in it, an op epoch minted, and the
+  // entry advanced to verified. `may_consolidate` false forces a dedicated VM.
+  bool Verify(const std::vector<std::string>& candidates, bool may_consolidate, DeployCtx* d);
+  // The install (dedicated) or shared-VM rebuild (consolidated) message.
+  ControlRequest PlacementRequest(const DeployCtx& d) const;
+  // The platform answered: commit the placement (owner tag, bookkeeping,
+  // quota, cutover trace, journal placed) or kill the module and roll back.
+  bool CommitAck(DeployCtx* d, const ControlResponse& resp);
+  // Transports. Direct: synchronous and fault-exempt; an ack advances the
+  // entry to cut-over at once. Channel: retried over the lossy channel
+  // (rebuilds through the per-platform queue); an ack arms the confirmation
+  // chain, a give-up queues a cleanup, and d->on_done fires either way.
+  void PlaceDirect(DeployCtx* d);
+  void PlaceViaChannel(const std::shared_ptr<DeployCtx>& d);
+  // Cleanup of a shared-VM rebuild that gave up unacked for `given_up`: if it
+  // executed, put the believed tenant list back (or retire the stale VM).
+  void RestoreSharedVm(const std::string& platform_name, Ipv4Address given_up);
 
   // Shared bookkeeping once a platform acked a placement. Also hands the
   // module's verify-time path digest to the INT collector so the data plane
@@ -336,14 +367,42 @@ class Orchestrator {
   // live module (migration re-registers via CommitPlacement anyway).
   void ClearModuleDigest(const std::string& module_id);
 
+  // Wraps a continuation so it runs only while this orchestrator lives: a
+  // probe or retry firing after a controller "crash" is a silent no-op,
+  // never a use-after-free.
+  template <typename Fn>
+  auto WhileAlive(Fn fn) const {
+    return [watch = std::weak_ptr<char>(alive_), fn = std::move(fn)](auto&&... args) mutable {
+      if (!watch.expired()) {
+        fn(std::forward<decltype(args)>(args)...);
+      }
+    };
+  }
+
+  // Drops a module from controller belief: its quota share, placement,
+  // request, INT attestation keys, and deployment record. Returns false when
+  // the controller held no such deployment.
+  bool Forget(const std::string& module_id);
+
+  // A placement gave up unacked, so the platform may or may not have run it:
+  // queue a cleanup for the platform's next reconcile. A dedicated install
+  // also gets a best-effort uninstall now, in case only the ack leg was lost.
+  void QueueCleanup(const std::string& platform_name, const std::string& module_id,
+                    Ipv4Address addr, bool consolidated);
+
+  // Best-effort abort of an announced migration on its source platform.
+  void CancelMigrationOut(const std::string& source, const std::string& module_id,
+                          platform::Vm::VmId vm_id);
+
   // Ledger prober: fills *out from the named platform's live state.
   bool ProbePlatform(const std::string& name, scheduler::PlatformResources* out);
 
-  // Creates a quota guard destined to ride an async continuation, registering
-  // it so ~Orchestrator can defuse it if the continuation outlives us.
-  std::shared_ptr<scheduler::ReservationGuard> MakeChannelGuard(const std::string& client_id);
+  // Creates a quota guard, registering it so ~Orchestrator can defuse it if
+  // an async continuation holding it outlives us.
+  std::shared_ptr<scheduler::ReservationGuard> MakeQuotaGuard(const std::string& client_id);
 
-  // Serialized shared-VM rebuild queue for channel deploys.
+  // Serialized shared-VM rebuild queue for channel placements and give-up
+  // cleanups.
   void EnqueueRebuild(const std::string& platform_name,
                       std::function<void(std::function<void()>)> task);
   void RunNextRebuild(const std::string& platform_name);
@@ -384,9 +443,8 @@ class Orchestrator {
   PlatformFleet* fleet_;
   DeployJournal* journal_;
   ControlClient client_;
-  // Liveness token for every continuation this orchestrator schedules: a
-  // probe or retry that fires after the controller "crashed" must be a
-  // silent no-op, never a use-after-free.
+  // Liveness token for every continuation this orchestrator schedules (see
+  // WhileAlive).
   std::shared_ptr<char> alive_;
   std::unordered_map<std::string, PlatformState> platforms_;
   // module id -> (platform name, dedicated VM id or 0 when consolidated)
@@ -394,9 +452,7 @@ class Orchestrator {
   // The original request behind every live module, kept so failover and
   // migration can re-verify and re-place tenants from first principles.
   std::unordered_map<std::string, ClientRequest> requests_;
-  // Installs that gave up unacked: the target may or may not have executed
-  // them. ReconcilePlatform flushes an idempotent uninstall for each.
-  std::vector<std::pair<std::string, Ipv4Address>> pending_cleanups_;
+  std::vector<PendingCleanup> pending_cleanups_;
   // Every guard handed to an async continuation, so the destructor can defuse
   // the ones still alive (their engine pointer dies with us).
   std::vector<std::weak_ptr<scheduler::ReservationGuard>> channel_guards_;

@@ -418,6 +418,105 @@ TEST_F(CrashRecovery, ResendsUnackedInstallUnderOriginalToken) {
   EXPECT_EQ(successor.engine().admission().UsageFor("m1").modules, 1u);
 }
 
+TEST_F(CrashRecovery, ResendsUnackedSharedRebuildUnderOriginalToken) {
+  std::string module_id;
+  Ipv4Address module_addr;
+  std::string platform_name = "platform1";
+  uint64_t journal_id = 0;
+  {
+    Orchestrator orch(topology::Network::MakeFigure3(), &clock_, OrchestratorOptions{},
+                      &fleet_, &journal_);
+    // As above, but the tenant is stateless: the message in flight at the
+    // crash is the shared-VM rebuild, not a dedicated install.
+    orch.SetPartitioned(platform_name, true);
+    ClientRequest request = StatelessRequest("web", 1500);
+    request.pinned_platform = platform_name;
+    std::optional<OrchestratedDeploy> result;
+    orch.DeployViaChannel(request, [&](const OrchestratedDeploy& r) { result = r; });
+    EXPECT_FALSE(result.has_value());  // in flight
+    const JournalEntry& entry = journal_.entries().back();
+    EXPECT_EQ(entry.state, JournalState::kVerified);
+    EXPECT_TRUE(entry.consolidated);
+    EXPECT_NE(entry.op_epoch, 0u);
+    module_id = entry.module_id;
+    module_addr = Ipv4Address::MustParse(entry.addr);
+    journal_id = entry.id;
+  }  // crash with the rebuild un-acked
+
+  fleet_.channel().SetPartitioned(platform_name, false);
+
+  Orchestrator successor(topology::Network::MakeFigure3(), &clock_, OrchestratorOptions{},
+                         &fleet_, &journal_);
+  RecoveryReport report = successor.RecoverFromJournal();
+  EXPECT_EQ(report.resumed, 1u);
+  clock_.RunUntil(clock_.now() + sim::FromSeconds(5));
+
+  // One shared VM, serving the tenant, and the entry at steady state.
+  platform::InNetPlatform* box = fleet_.Get(platform_name);
+  EXPECT_EQ(box->vms().vm_count(), 1u);
+  EXPECT_NE(box->InstalledVmFor(module_addr), 0u);
+  EXPECT_TRUE(successor.HasPlacement(module_id));
+  EXPECT_EQ(successor.ConsolidatedTenantCount(platform_name), 1u);
+  EXPECT_EQ(journal_.Find(journal_id)->state, JournalState::kCutover);
+  ExpectJournalConverged(journal_);
+  EXPECT_EQ(successor.engine().admission().UsageFor("web").modules, 1u);
+}
+
+// A shared-VM rebuild that executed just before the crash but fails
+// re-verification on recovery must be undone without taking the platform's
+// surviving consolidated tenants down with it.
+TEST_F(CrashRecovery, UndoesAppliedSharedRebuildWithoutKillingSurvivors) {
+  std::string a_module;
+  Ipv4Address a_addr;
+  Ipv4Address b_addr;
+  std::string name;
+  sim::FaultPlan plan;
+  plan.seed = 3;
+  plan.control_delay_mean_ms = 1.0;
+  sim::FaultInjector faults(plan);
+  {
+    Orchestrator orch(topology::Network::MakeFigure3(), &clock_, OrchestratorOptions{},
+                      &fleet_, &journal_);
+    auto a = orch.Deploy(StatelessRequest("a", 1500));
+    ASSERT_TRUE(a.outcome.accepted) << a.outcome.reason;
+    a_module = a.outcome.module_id;
+    a_addr = a.outcome.module_addr;
+    name = a.outcome.platform;
+    // B's rebuild travels with a delay on each leg: step the clock until the
+    // platform has executed it, then crash before the ack comes back.
+    orch.SetControlFaults(&faults);
+    ClientRequest b = StatelessRequest("b", 1501);
+    b.pinned_platform = name;
+    orch.DeployViaChannel(b, nullptr);
+    const JournalEntry& entry = journal_.entries().back();
+    b_addr = Ipv4Address::MustParse(entry.addr);
+    while (fleet_.Get(name)->InstalledVmFor(b_addr) == 0 && !clock_.empty()) {
+      clock_.Run(1);
+    }
+    ASSERT_NE(fleet_.Get(name)->InstalledVmFor(b_addr), 0u);
+    ASSERT_EQ(entry.state, JournalState::kVerified);
+    orch.SetControlFaults(nullptr);
+  }  // crash
+
+  // The successor enforces an operator policy no placement can satisfy, so
+  // B's re-verification fails and its applied rebuild must be undone.
+  Orchestrator successor(topology::Network::MakeFigure3(), &clock_, OrchestratorOptions{},
+                         &fleet_, &journal_);
+  ASSERT_TRUE(successor.AddOperatorPolicy("reach from internet udp -> 203.0.113.9"));
+  RecoveryReport report = successor.RecoverFromJournal();
+  EXPECT_EQ(report.adopted, 1u);
+  EXPECT_EQ(report.rolled_back, 1u);
+  platform::InNetPlatform* box = fleet_.Get(name);
+  Vm::VmId serving_a = box->InstalledVmFor(a_addr);
+  EXPECT_NE(serving_a, 0u);
+  EXPECT_EQ(box->InstalledVmFor(b_addr), 0u);
+  EXPECT_EQ(box->vms().vm_count(), 1u);
+  EXPECT_TRUE(successor.HasPlacement(a_module));
+  EXPECT_TRUE(successor.Kill(a_module));
+  EXPECT_EQ(box->vms().Find(serving_a), nullptr);
+  EXPECT_EQ(box->vms().vm_count(), 0u);
+}
+
 TEST_F(CrashRecovery, RollsBackIntentAndRePlacesFresh) {
   {
     Orchestrator orch(topology::Network::MakeFigure3(), &clock_, OrchestratorOptions{},
@@ -547,6 +646,52 @@ TEST(Partition, DegradedPlatformKeepsServingAndHealReconciles) {
   EXPECT_EQ(heal.lost, 0u);
   EXPECT_TRUE(orch.HasPlacement(deployed.outcome.module_id));
   EXPECT_EQ(orch.platform(name)->vms().vm_count(), 1u);
+}
+
+// A shared-VM rebuild that executed but whose every ack was lost. The
+// platform now serves the given-up tenant from a new shared VM that also
+// carries every surviving consolidated tenant, so the heal-time cleanup must
+// put the believed tenant list back rather than uninstall by address (which
+// would tear the survivors down with it).
+TEST(Partition, SharedRebuildGiveUpCleanupKeepsSurvivingTenants) {
+  sim::EventQueue clock;
+  Orchestrator orch(topology::Network::MakeFigure3(), &clock);
+  auto a = orch.Deploy(StatelessRequest("a", 1500));
+  ASSERT_TRUE(a.outcome.accepted) << a.outcome.reason;
+  ASSERT_TRUE(a.consolidated);
+  const std::string name = a.outcome.platform;
+  platform::InNetPlatform* box = orch.platform(name);
+
+  sim::FaultPlan plan;
+  plan.seed = 5;
+  plan.control_loss_p = 0.8;
+  plan.control_delay_mean_ms = 1.0;
+  sim::FaultInjector faults(plan);
+  orch.SetControlFaults(&faults);
+  ClientRequest b_request = StatelessRequest("b", 1501);
+  b_request.pinned_platform = name;
+  std::optional<OrchestratedDeploy> b;
+  orch.DeployViaChannel(b_request, [&](const OrchestratedDeploy& r) { b = r; });
+  clock.RunUntil(clock.now() + sim::FromSeconds(60));
+  ASSERT_TRUE(b.has_value());
+  ASSERT_FALSE(b->outcome.accepted);
+  // Precondition: the rebuild executed on the platform; only the acks died.
+  ASSERT_NE(box->InstalledVmFor(b->outcome.module_addr), 0u);
+
+  orch.SetControlFaults(nullptr);
+  ReconcileReport heal = orch.ReconcilePlatform(name);
+  EXPECT_EQ(heal.lost, 0u);
+  EXPECT_EQ(heal.cleanups, 1u);
+  Vm::VmId serving_a = box->InstalledVmFor(a.outcome.module_addr);
+  EXPECT_NE(serving_a, 0u);
+  EXPECT_EQ(box->InstalledVmFor(b->outcome.module_addr), 0u);
+  EXPECT_EQ(box->vms().vm_count(), 1u);
+  EXPECT_TRUE(orch.HasPlacement(a.outcome.module_id));
+  // The orchestrator's shared VM is the one serving A: killing A retires it
+  // and leaves the platform empty.
+  EXPECT_TRUE(orch.Kill(a.outcome.module_id));
+  EXPECT_EQ(box->vms().Find(serving_a), nullptr);
+  EXPECT_EQ(box->vms().vm_count(), 0u);
 }
 
 // --- Determinism -----------------------------------------------------------------------
