@@ -6,9 +6,10 @@
 // drip with a deterministic fault injector crashing guests mid-run. The
 // watchdog restarts them; every crash snapshots a post-mortem bundle.
 //
-// Emits BENCH_dataplane_profile.json (folded stacks, walk counts, per-element
-// metrics) and BENCH_dataplane_profile_postmortem.json — the flight-recorder
-// dump that `innet_top --postmortem` renders; ctest smokes that pipeline.
+// Emits BENCH_dataplane_profile.json: folded stacks, walk counts, per-element
+// metrics and the flight-recorder dump, whose post-mortem bundles
+// `innet_top BENCH_dataplane_profile.json` renders; ctest smokes that
+// pipeline.
 #include <cstdio>
 #include <map>
 #include <sstream>
@@ -148,12 +149,6 @@ int main() {
     std::fprintf(stderr, "expected at least one crash postmortem under the fault plan\n");
     return 1;
   }
-
-  if (!flight.WriteJsonFile("BENCH_dataplane_profile_postmortem.json")) {
-    std::fprintf(stderr, "cannot write BENCH_dataplane_profile_postmortem.json\n");
-    return 1;
-  }
-  std::printf("postmortems -> BENCH_dataplane_profile_postmortem.json\n");
 
   // Headline series for the CI regression gate: seeded packet counts and
   // profiler tallies, all deterministic, so zero tolerance.

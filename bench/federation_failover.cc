@@ -16,12 +16,11 @@
 // completes as ONE connected span tree (the coordinator's root id propagates
 // through every WAN hop and region-local handler span — no orphans), and
 // after the final heal the coordinator holds zero stale placement beliefs.
-// Fixed seed, simulated clock: the JSON snapshot, the Perfetto trace, and
-// the fleet observability dump (--fleet-obs-out, default
-// BENCH_federation_failover_fleet.json) are byte-identical across runs
-// (scripts/ci.sh runs it twice and diffs all of them).
+// Fixed seed, simulated clock: the JSON snapshot and the telemetry bundle
+// BENCH_federation_failover_telemetry.json (the merged Perfetto trace plus
+// the coordinator's fleet observability view) are byte-identical across runs
+// (scripts/ci.sh runs it twice and diffs both).
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <set>
 #include <string>
@@ -30,6 +29,7 @@
 #include "bench/bench_util.h"
 #include "src/federation/coordinator.h"
 #include "src/federation/region.h"
+#include "src/obs/bundle.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/fault_injector.h"
@@ -81,13 +81,7 @@ obs::json::Value StatsJson(const DeployStats& stats) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string fleet_out = "BENCH_federation_failover_fleet.json";
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--fleet-obs-out") == 0) {
-      fleet_out = argv[i + 1];
-    }
-  }
+int main() {
   obs::Registry().ResetValues();
 
   sim::EventQueue clock;
@@ -316,12 +310,14 @@ int main(int argc, char** argv) {
   obs::Tracer().ExportMetrics(&obs::Registry());
   results.Set("metrics", obs::Registry().ToJson());
 
-  // Companion artifacts: the merged Perfetto trace (load the migration's
-  // tree in ui.perfetto.dev — see README) and the coordinator's fleet
-  // observability dump. Both deterministic; ci.sh diffs them across runs.
-  bool artifacts_ok =
-      obs::Tracer().WritePerfettoFile("BENCH_federation_failover_trace.json") &&
-      coordinator.fleet_view().WriteJsonFile(fleet_out, clock.now());
+  // Companion telemetry bundle: the merged Perfetto trace (load the
+  // migration's tree in ui.perfetto.dev — see README) and the coordinator's
+  // fleet observability view. Deterministic; ci.sh diffs it across runs.
+  obs::TelemetryBundle bundle;
+  bundle.trace = &obs::Tracer();
+  bundle.fleet = &coordinator.fleet_view();
+  bundle.fleet_now_ns = clock.now();
+  bool artifacts_ok = bundle.WriteFile("BENCH_federation_failover_telemetry.json");
   obs::Tracer().SetTimeSource(nullptr);  // clock dies before the global tracer
   obs::Tracer().Enable(false);
   if (!bench::WriteBenchJson("federation_failover", std::move(results)) || !artifacts_ok) {

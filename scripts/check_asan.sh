@@ -19,12 +19,12 @@ ctest --test-dir "${BUILD}" --output-on-failure -j "$(nproc)"
 (cd "${BUILD}/bench" && ./control_chaos >/dev/null)
 # Same for the federation failover bench: rolling partitions + heal-time
 # reconciles are dense in scheduled continuations that must not outlive
-# their coordinator/region objects. It must also emit its fleet
-# observability dump — tracing + fleet aggregation run inside this bench,
-# so a missing artifact means that code path silently died.
+# their coordinator/region objects. It must also emit its telemetry bundle —
+# tracing + fleet aggregation run inside this bench, so a missing artifact
+# means that code path silently died.
 (cd "${BUILD}/bench" && ./federation_failover >/dev/null)
-[ -s "${BUILD}/bench/BENCH_federation_failover_fleet.json" ] || {
-  echo "check_asan: federation_failover did not write its fleet dump" >&2
+[ -s "${BUILD}/bench/BENCH_federation_failover_telemetry.json" ] || {
+  echo "check_asan: federation_failover did not write its telemetry bundle" >&2
   exit 1
 }
 # And the INT conformance bench: packets carrying in-band hop stacks survive

@@ -52,10 +52,10 @@ for name in "${benches[@]}"; do
   fi
   candidate="$workdir/BENCH_${name}.json"
   # Benches that promise side artifacts must actually produce them — a bench
-  # that silently stopped writing its fleet dump would otherwise pass the
-  # series diff while breaking the innet_top --fleet pipeline.
-  if [ "$name" = "federation_failover" ] && [ ! -s "$workdir/BENCH_federation_failover_fleet.json" ]; then
-    echo "ERROR: $name did not write BENCH_federation_failover_fleet.json" >&2
+  # that silently stopped writing its telemetry bundle would otherwise pass
+  # the series diff while breaking the innet_top FLEET pipeline.
+  if [ "$name" = "federation_failover" ] && [ ! -s "$workdir/BENCH_federation_failover_telemetry.json" ]; then
+    echo "ERROR: $name did not write BENCH_federation_failover_telemetry.json" >&2
     fail=1
     continue
   fi

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # One-stop CI gate: tier-1 build + tests, the sanitizer suite, perfbench
 # smoke runs, the metrics-documentation lint, the perf-regression gate
-# (innet_benchdiff vs the committed BENCH_*.json baselines), the timeseries
-# determinism check, and a JSON lint over every committed BENCH_*.json
+# (innet_benchdiff vs the committed BENCH_*.json baselines), the telemetry
+# bundle determinism check, and a JSON lint over every committed BENCH_*.json
 # telemetry file. Any failure fails the whole run.
 #
 # Usage: scripts/ci.sh [--skip-asan]
@@ -73,24 +73,26 @@ fi
 step "perf-regression gate (check_bench_regression.sh vs committed baselines)"
 scripts/check_bench_regression.sh || fail=1
 
-step "timeseries determinism (two seeded innet_run dumps must be byte-identical)"
+step "telemetry bundle determinism (two seeded innet_run bundles must be byte-identical)"
+# The bundle carries metrics, trace, health, timeseries, INT, flight recorder
+# and folded stacks, so this covers every section at once.
 if [ ! -x build/tools/innet_run ]; then
   echo "ERROR: build/tools/innet_run missing — build step failed?" >&2
   fail=1
 else
-  ts_ok=1
+  bundle_ok=1
   ./build/tools/innet_run --config examples/batcher.click \
-      --timeseries-out build/ts_run1.json >/dev/null || ts_ok=0
+      --telemetry-out build/telemetry_run1.json >/dev/null || bundle_ok=0
   ./build/tools/innet_run --config examples/batcher.click \
-      --timeseries-out build/ts_run2.json >/dev/null || ts_ok=0
-  if [ "$ts_ok" -ne 1 ]; then
-    echo "ERROR: innet_run --timeseries-out failed" >&2
+      --telemetry-out build/telemetry_run2.json >/dev/null || bundle_ok=0
+  if [ "$bundle_ok" -ne 1 ]; then
+    echo "ERROR: innet_run --telemetry-out failed" >&2
     fail=1
-  elif ! cmp -s build/ts_run1.json build/ts_run2.json; then
-    echo "ERROR: timeseries dumps differ between two runs of the same config" >&2
+  elif ! cmp -s build/telemetry_run1.json build/telemetry_run2.json; then
+    echo "ERROR: telemetry bundles differ between two runs of the same config" >&2
     fail=1
   else
-    echo "ok: timeseries dump byte-identical across repeat runs"
+    echo "ok: telemetry bundle byte-identical across repeat runs"
   fi
 fi
 
@@ -120,19 +122,20 @@ step "inspector smoke test (innet_top over a committed bench snapshot)"
 if [ ! -x build/tools/innet_top ]; then
   echo "ERROR: build/tools/innet_top missing — build step failed?" >&2
   fail=1
-elif ./build/tools/innet_top --metrics BENCH_placement_scaling.json; then
+elif ./build/tools/innet_top BENCH_placement_scaling.json; then
   echo "ok: innet_top rendered BENCH_placement_scaling.json"
 else
   echo "ERROR: innet_top failed on BENCH_placement_scaling.json" >&2
   fail=1
 fi
 
-step "dataplane profiling pipeline (bench + innet_top --postmortem)"
+step "dataplane profiling pipeline (bench + innet_top postmortem render)"
 if [ ! -x build/bench/dataplane_profile ] || [ ! -x build/tools/innet_top ]; then
   echo "ERROR: build/bench/dataplane_profile or build/tools/innet_top missing — build step failed?" >&2
   fail=1
 elif ! (cd build/bench && ./dataplane_profile >/dev/null) \
-    || ! ./build/tools/innet_top --postmortem build/bench/BENCH_dataplane_profile_postmortem.json; then
+    || ! ./build/tools/innet_top build/bench/BENCH_dataplane_profile.json \
+        | grep -q 'FLIGHT RECORDER ('; then
   echo "ERROR: dataplane profiling pipeline failed" >&2
   fail=1
 elif ! cmp -s build/bench/BENCH_dataplane_profile.json BENCH_dataplane_profile.json; then
@@ -217,7 +220,7 @@ else
   fed_ok=1
   (cd build/bench && ./federation_failover >/dev/null) || fed_ok=0
   cp build/bench/BENCH_federation_failover.json build/bench/BENCH_federation_failover.run1.json 2>/dev/null
-  cp build/bench/BENCH_federation_failover_fleet.json build/bench/BENCH_federation_failover_fleet.run1.json 2>/dev/null
+  cp build/bench/BENCH_federation_failover_telemetry.json build/bench/BENCH_federation_failover_telemetry.run1.json 2>/dev/null
   (cd build/bench && ./federation_failover >/dev/null) || fed_ok=0
   if [ "$fed_ok" -ne 1 ]; then
     echo "ERROR: federation_failover reported a convergence failure" >&2
@@ -225,15 +228,15 @@ else
   elif ! cmp -s build/bench/BENCH_federation_failover.json build/bench/BENCH_federation_failover.run1.json; then
     echo "ERROR: BENCH_federation_failover.json differs between two runs at the same seed" >&2
     fail=1
-  elif ! cmp -s build/bench/BENCH_federation_failover_fleet.json build/bench/BENCH_federation_failover_fleet.run1.json; then
-    echo "ERROR: BENCH_federation_failover_fleet.json (fleet observability dump) differs between two runs at the same seed" >&2
+  elif ! cmp -s build/bench/BENCH_federation_failover_telemetry.json build/bench/BENCH_federation_failover_telemetry.run1.json; then
+    echo "ERROR: BENCH_federation_failover_telemetry.json (trace + fleet bundle) differs between two runs at the same seed" >&2
     fail=1
   elif ! cmp -s build/bench/BENCH_federation_failover.json BENCH_federation_failover.json; then
     echo "ERROR: regenerated BENCH_federation_failover.json differs from the committed snapshot" >&2
     echo "       (if the change is intentional: cp build/bench/BENCH_federation_failover.json .)" >&2
     fail=1
   else
-    echo "ok: federation_failover converged, byte-identical across runs (snapshot + fleet dump), snapshot current"
+    echo "ok: federation_failover converged, byte-identical across runs (snapshot + telemetry bundle), snapshot current"
   fi
 fi
 

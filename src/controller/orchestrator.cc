@@ -406,7 +406,11 @@ bool Orchestrator::Forget(const std::string& module_id) {
 void Orchestrator::QueueCleanup(const std::string& platform_name, const std::string& module_id,
                                 Ipv4Address addr, bool consolidated) {
   pending_cleanups_.push_back({platform_name, addr, consolidated});
-  if (!consolidated) {
+  if (consolidated) {
+    if (!fleet_->channel().IsPartitioned(platform_name)) {
+      RestoreSharedVm(platform_name, addr);
+    }
+  } else {
     ControlRequest undo;
     undo.op = ControlOp::kUninstallAddr;
     undo.tenant = module_id;

@@ -385,8 +385,10 @@ class Orchestrator {
   bool Forget(const std::string& module_id);
 
   // A placement gave up unacked, so the platform may or may not have run it:
-  // queue a cleanup for the platform's next reconcile. A dedicated install
-  // also gets a best-effort uninstall now, in case only the ack leg was lost.
+  // queue a cleanup for the platform's next reconcile. In case only the ack
+  // leg was lost, it is also undone best-effort now: a dedicated install by
+  // address, a shared-VM rebuild (unless the platform is partitioned) by
+  // restoring the believed tenant list behind it in the rebuild queue.
   void QueueCleanup(const std::string& platform_name, const std::string& module_id,
                     Ipv4Address addr, bool consolidated);
 

@@ -140,7 +140,7 @@ class FederationCoordinator {
   // The fleet-wide observability view: every accepted digest's metrics
   // snapshot lands here (deltas, EWMA anomaly flags, correlated incidents).
   // Placement consults AnomalousRegions() so flagged regions rank last among
-  // their freshness class; benches dump it via WriteJsonFile.
+  // their freshness class; benches dump it as a telemetry bundle section.
   obs::FleetView& fleet_view() { return fleet_view_; }
   const obs::FleetView& fleet_view() const { return fleet_view_; }
 

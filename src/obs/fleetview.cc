@@ -208,8 +208,4 @@ json::Value FleetView::ToJson(uint64_t now_ns) const {
   return root;
 }
 
-bool FleetView::WriteJsonFile(const std::string& path, uint64_t now_ns) const {
-  return ToJson(now_ns).WriteFile(path);
-}
-
 }  // namespace innet::obs

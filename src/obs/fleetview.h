@@ -23,7 +23,7 @@
 // The coordinator consults AnomalousRegions() during placement so flagged
 // regions rank after quiet ones (scheduler::RankRegions), and ToJson()
 // renders the whole view as a byte-deterministic dump (sorted maps,
-// sim-clock timestamps only) — the artifact behind `--fleet-obs-out`.
+// sim-clock timestamps only) — the `fleet` section of a telemetry bundle.
 #ifndef SRC_OBS_FLEETVIEW_H_
 #define SRC_OBS_FLEETVIEW_H_
 
@@ -93,7 +93,6 @@ class FleetView {
   // {"fleet": {...}} — regions with staleness labels, merged fleet series,
   // and the incident log. Deterministic: sorted maps, sim-clock values only.
   json::Value ToJson(uint64_t now_ns) const;
-  bool WriteJsonFile(const std::string& path, uint64_t now_ns) const;
 
  private:
   // One (region, metric) track: the last cumulative sample plus the EWMA

@@ -144,10 +144,6 @@ json::Value FlightRecorder::ToJson() const {
   return root;
 }
 
-bool FlightRecorder::WriteJsonFile(const std::string& path) const {
-  return ToJson().WriteFile(path);
-}
-
 void FlightRecorder::ExportMetrics(MetricsRegistry* registry) const {
   registry->GetCounter("innet_flight_events_recorded_total")->SetTo(recorded_);
   registry->GetCounter("innet_flight_postmortems_total")

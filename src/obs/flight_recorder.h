@@ -9,8 +9,8 @@
 // (kVmCrash, kWatchdogGiveUp, kMigrateAbort) the owner snapshots a
 // PostmortemBundle: the ring's current contents, the dying graph's
 // per-element counters, the owning span id, and the tenant's health state at
-// that instant. Bundles are dumped as JSON and rendered by
-// `innet_top --postmortem`.
+// that instant. Bundles are dumped as JSON (the `flight` section of a
+// telemetry bundle) and rendered by innet_top's POSTMORTEM section.
 //
 // Determinism: events are stamped with caller-provided sim time only; the
 // ring and every bundle are pure functions of the event sequence, so dumps
@@ -74,7 +74,7 @@ class FlightRecorder {
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   // Ring depth (last-K). Resizing drops the current contents; configure once
-  // at startup (innet_run --flight-recorder-depth).
+  // at startup.
   void set_depth(size_t depth);
   size_t depth() const { return depth_; }
 
@@ -116,10 +116,9 @@ class FlightRecorder {
 
   void Clear();
 
-  // {"depth": K, "recorded": N, "postmortems": [...]}. Bundle events use the
-  // same {t_ns, kind, target, detail, value} field names as the trace dump.
+  // {"depth": K, "recorded": N, "postmortems": [...]}. Bundle events are
+  // {t_ns, kind, target, detail, value}, `kind` being the EventKindName.
   json::Value ToJson() const;
-  bool WriteJsonFile(const std::string& path) const;
 
   // innet_flight_events_recorded_total / innet_flight_postmortems_total.
   void ExportMetrics(MetricsRegistry* registry) const;

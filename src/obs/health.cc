@@ -168,10 +168,6 @@ json::Value HealthMonitor::ToJson() const {
   return root;
 }
 
-bool HealthMonitor::WriteJsonFile(const std::string& path) const {
-  return ToJson().WriteFile(path);
-}
-
 HealthMonitor& HealthMonitor::Global() {
   static HealthMonitor* monitor = new HealthMonitor();
   return *monitor;

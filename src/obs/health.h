@@ -110,7 +110,6 @@ class HealthMonitor {
 
   // {"tenants": [{"tenant", "state", "boot_p99_ms", ...}]}, sorted by tenant.
   json::Value ToJson() const;
-  bool WriteJsonFile(const std::string& path) const;
 
   // Forgets every tenant (instruments stay in the registry; tests that reuse
   // the global monitor pair this with registry resets).

@@ -333,10 +333,6 @@ json::Value IntCollector::ToJson() const {
   return root;
 }
 
-bool IntCollector::WriteJsonFile(const std::string& path) const {
-  return ToJson().WriteFile(path);
-}
-
 void IntCollector::Clear() {
   postcards_ = 0;
   violations_ = 0;

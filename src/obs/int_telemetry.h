@@ -125,7 +125,6 @@ class IntCollector {
   // {"postcards", "violations", "status", "tenants": [per-tenant heatmap +
   // attestation], "recent"} — sorted and byte-deterministic.
   json::Value ToJson() const;
-  bool WriteJsonFile(const std::string& path) const;
 
   // Forgets postcards, digests, and counters (registry instruments persist).
   void Clear();

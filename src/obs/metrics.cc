@@ -291,10 +291,6 @@ json::Value MetricsRegistry::ToJson() const {
 
 void MetricsRegistry::DumpJson(std::ostream& out) const { ToJson().Write(out, 2); }
 
-bool MetricsRegistry::WriteJsonFile(const std::string& path) const {
-  return ToJson().WriteFile(path);
-}
-
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;

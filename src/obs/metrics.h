@@ -137,7 +137,6 @@ class MetricsRegistry {
   // {"metrics": [...]} with the same ordering.
   json::Value ToJson() const;
   void DumpJson(std::ostream& out) const;
-  bool WriteJsonFile(const std::string& path) const;
 
   // The process-wide registry used by all built-in instrumentation.
   static MetricsRegistry& Global();

@@ -187,10 +187,6 @@ json::Value TimeSeriesSampler::ToJson() const {
   return root;
 }
 
-bool TimeSeriesSampler::WriteJsonFile(const std::string& path) const {
-  return ToJson().WriteFile(path);
-}
-
 void AnomalyDetector::UseDefaultRules() {
   // Drop-rate spikes: per-tenant buffer drops (attributed) and the
   // platform-wide drop counter (fleet-level).

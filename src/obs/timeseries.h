@@ -16,7 +16,7 @@
 // Points live in bounded rings (oldest evicted, eviction counted), so a
 // long experiment stays fixed-memory. Determinism contract: the sampler is
 // driven by caller-provided simulated timestamps and reads only registry
-// values, so `innet_run --timeseries-out` dumps are byte-identical across
+// values, so `innet_run --telemetry-out` bundles are byte-identical across
 // repeat seeded runs — the same property every other obs dump holds.
 //
 // The AnomalyDetector consumes the same windowed stream: each rule tracks an
@@ -124,7 +124,6 @@ class TimeSeriesSampler {
   // Series keep registry dump order (name, then canonical labels); the
   // anomalies array is present only when a detector is attached.
   json::Value ToJson() const;
-  bool WriteJsonFile(const std::string& path) const;
 
  private:
   struct Track {

@@ -81,31 +81,6 @@ uint64_t EventTracer::Record(uint64_t time_ns, EventKind kind, std::string targe
   return span;
 }
 
-json::Value EventTracer::ToJson() const {
-  json::Value list = json::Value::Array();
-  for (const TraceEvent& event : events_) {
-    json::Value entry = json::Value::Object();
-    entry.Set("t_ns", event.time_ns);
-    entry.Set("kind", EventKindName(event.kind));
-    entry.Set("target", event.target);
-    if (!event.detail.empty()) {
-      entry.Set("detail", event.detail);
-    }
-    entry.Set("value", event.value);
-    entry.Set("span", event.span);
-    entry.Set("parent", event.parent);
-    list.Push(std::move(entry));
-  }
-  json::Value root = json::Value::Object();
-  root.Set("dropped", dropped_);
-  if (span_namespace_ != 0) {
-    // Merged multi-region dumps need to know which region minted which ids.
-    root.Set("span_namespace", span_namespace_ >> kSpanNamespaceShift);
-  }
-  root.Set("events", std::move(list));
-  return root;
-}
-
 uint64_t EventTracer::NamespaceForName(const std::string& name) {
   // FNV-1a, folded to 8 bits; 0 (the un-namespaced default) maps to 1 so a
   // named tracer always leaves the colliding id space.
@@ -116,10 +91,6 @@ uint64_t EventTracer::NamespaceForName(const std::string& name) {
   }
   uint64_t folded = (hash ^ (hash >> 8) ^ (hash >> 16) ^ (hash >> 24)) & 0xff;
   return folded == 0 ? 1 : folded;
-}
-
-bool EventTracer::WriteJsonFile(const std::string& path) const {
-  return ToJson().WriteFile(path);
 }
 
 json::Value EventTracer::ToPerfettoJson() const {
@@ -188,11 +159,14 @@ json::Value EventTracer::ToPerfettoJson() const {
   json::Value root = json::Value::Object();
   root.Set("displayTimeUnit", "ms");
   root.Set("traceEvents", std::move(trace_events));
+  json::Value other = json::Value::Object();
+  other.Set("dropped", dropped_);
+  if (span_namespace_ != 0) {
+    // Merged multi-region dumps need to know which region minted which ids.
+    other.Set("span_namespace", span_namespace_ >> kSpanNamespaceShift);
+  }
+  root.Set("otherData", std::move(other));
   return root;
-}
-
-bool EventTracer::WritePerfettoFile(const std::string& path) const {
-  return ToPerfettoJson().WriteFile(path);
 }
 
 void EventTracer::ExportMetrics(MetricsRegistry* registry) const {

@@ -81,7 +81,8 @@ enum class EventKind {
   kSpanEnd,
 };
 
-// Stable wire name ("vm_boot_start", ...), used in the JSON dump.
+// Stable wire name ("vm_boot_start", ...): the trace event name in the
+// Perfetto export and the event kind in flight-recorder dumps.
 const char* EventKindName(EventKind kind);
 
 struct TraceEvent {
@@ -166,16 +167,15 @@ class EventTracer {
     span_stack_.clear();
   }
 
-  json::Value ToJson() const;
-  bool WriteJsonFile(const std::string& path) const;
-
-  // Chrome/Perfetto trace_event export ({"traceEvents": [...]}), loadable in
+  // The tracer's one export: Chrome/Perfetto trace_event JSON
+  // ({"displayTimeUnit", "traceEvents": [...], "otherData"}), loadable in
   // ui.perfetto.dev / chrome://tracing. Span-opening events whose SpanScope
   // end was recorded become complete ("X") slices with a duration; all other
   // events become instants. Targets map to stable thread tracks in order of
-  // first appearance. Deterministic like the plain dump.
+  // first appearance; each event's args carry its span and parent ids.
+  // otherData holds the dropped count and, when nonzero, the span namespace.
+  // A pure function of the event sequence, so repeat runs are byte-identical.
   json::Value ToPerfettoJson() const;
-  bool WritePerfettoFile(const std::string& path) const;
 
   // Mirrors dropped() into the registry as innet_trace_dropped_total, so
   // silent trace-ring truncation is visible in metrics dumps. Call right

@@ -650,9 +650,10 @@ TEST(Partition, DegradedPlatformKeepsServingAndHealReconciles) {
 
 // A shared-VM rebuild that executed but whose every ack was lost. The
 // platform now serves the given-up tenant from a new shared VM that also
-// carries every surviving consolidated tenant, so the heal-time cleanup must
-// put the believed tenant list back rather than uninstall by address (which
-// would tear the survivors down with it).
+// carries every surviving consolidated tenant, so the cleanup must put the
+// believed tenant list back rather than uninstall by address (which would
+// tear the survivors down with it). The give-up restores at once; the heal
+// reconcile still flushes its queued cleanup, which finds nothing left.
 TEST(Partition, SharedRebuildGiveUpCleanupKeepsSurvivingTenants) {
   sim::EventQueue clock;
   Orchestrator orch(topology::Network::MakeFigure3(), &clock);
@@ -675,8 +676,11 @@ TEST(Partition, SharedRebuildGiveUpCleanupKeepsSurvivingTenants) {
   clock.RunUntil(clock.now() + sim::FromSeconds(60));
   ASSERT_TRUE(b.has_value());
   ASSERT_FALSE(b->outcome.accepted);
-  // Precondition: the rebuild executed on the platform; only the acks died.
-  ASSERT_NE(box->InstalledVmFor(b->outcome.module_addr), 0u);
+  // Precondition: the rebuild executed on the platform (A's shared VM was
+  // replaced); only the acks died. The give-up's own restore has already
+  // taken B's address down again.
+  ASSERT_NE(box->InstalledVmFor(a.outcome.module_addr), a.vm_id);
+  ASSERT_EQ(box->InstalledVmFor(b->outcome.module_addr), 0u);
 
   orch.SetControlFaults(nullptr);
   ReconcileReport heal = orch.ReconcilePlatform(name);
@@ -692,6 +696,41 @@ TEST(Partition, SharedRebuildGiveUpCleanupKeepsSurvivingTenants) {
   EXPECT_TRUE(orch.Kill(a.outcome.module_id));
   EXPECT_EQ(box->vms().Find(serving_a), nullptr);
   EXPECT_EQ(box->vms().vm_count(), 0u);
+}
+
+// The same lost-ack rebuild on a platform that is not partitioned: the give-up
+// itself undoes it through the rebuild queue, without waiting for a reconcile
+// that only a partition heal would trigger.
+TEST(Partition, SharedRebuildGiveUpIsUndoneWithoutAReconcile) {
+  sim::EventQueue clock;
+  Orchestrator orch(topology::Network::MakeFigure3(), &clock);
+  auto a = orch.Deploy(StatelessRequest("a", 1500));
+  ASSERT_TRUE(a.outcome.accepted) << a.outcome.reason;
+  ASSERT_TRUE(a.consolidated);
+  const std::string name = a.outcome.platform;
+  platform::InNetPlatform* box = orch.platform(name);
+
+  sim::FaultPlan plan;
+  plan.seed = 5;
+  plan.control_loss_p = 0.8;
+  plan.control_delay_mean_ms = 1.0;
+  sim::FaultInjector faults(plan);
+  orch.SetControlFaults(&faults);
+  ClientRequest b_request = StatelessRequest("b", 1501);
+  b_request.pinned_platform = name;
+  std::optional<OrchestratedDeploy> b;
+  orch.DeployViaChannel(b_request, [&](const OrchestratedDeploy& r) {
+    b = r;
+    orch.SetControlFaults(nullptr);  // the loss ends with the give-up
+  });
+  clock.RunUntil(clock.now() + sim::FromSeconds(60));
+  ASSERT_TRUE(b.has_value());
+  ASSERT_FALSE(b->outcome.accepted);
+
+  EXPECT_NE(box->InstalledVmFor(a.outcome.module_addr), 0u);
+  EXPECT_EQ(box->InstalledVmFor(b->outcome.module_addr), 0u);
+  EXPECT_EQ(box->vms().vm_count(), 1u);
+  EXPECT_TRUE(orch.HasPlacement(a.outcome.module_id));
 }
 
 // --- Determinism -----------------------------------------------------------------------

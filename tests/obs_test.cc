@@ -9,10 +9,14 @@
 #include <gtest/gtest.h>
 
 #include "src/controller/orchestrator.h"
+#include "src/obs/bundle.h"
+#include "src/obs/fleetview.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/health.h"
+#include "src/obs/int_telemetry.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
+#include "src/obs/timeseries.h"
 #include "src/obs/trace.h"
 #include "src/scheduler/engine.h"
 #include "src/sim/stats.h"
@@ -214,11 +218,18 @@ TEST(Tracer, DisabledRecordIsANoOpAndCapacityBounds) {
 
   json::Value parsed;
   std::string error;
-  ASSERT_TRUE(json::Value::Parse(tracer.ToJson().ToString(2), &parsed, &error)) << error;
-  EXPECT_EQ(parsed.Find("dropped")->int_number(), 1);
-  ASSERT_EQ(parsed.Find("events")->size(), 2u);
-  EXPECT_EQ(parsed.Find("events")->at(0).Find("kind")->string_value(), "vm_boot_start");
-  EXPECT_EQ(parsed.Find("events")->at(1).Find("value")->int_number(), 1000);
+  ASSERT_TRUE(json::Value::Parse(tracer.ToPerfettoJson().ToString(2), &parsed, &error)) << error;
+  EXPECT_EQ(parsed.Find("otherData")->Find("dropped")->int_number(), 1);
+  std::vector<const json::Value*> events;  // minus the track-name metadata
+  const json::Value* trace_events = parsed.Find("traceEvents");
+  for (size_t i = 0; i < trace_events->size(); ++i) {
+    if (trace_events->at(i).Find("ph")->string_value() != "M") {
+      events.push_back(&trace_events->at(i));
+    }
+  }
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0]->Find("name")->string_value(), "vm_boot_start");
+  EXPECT_EQ(events[1]->Find("args")->Find("value")->int_number(), 1000);
 
   tracer.Clear();
   EXPECT_TRUE(tracer.events().empty());
@@ -532,8 +543,8 @@ TEST(Tracer, SpanNamespaceSurvivesClearAndShowsInDump) {
   // colliding id space.
   EXPECT_EQ(tracer.events()[0].span >> EventTracer::kSpanNamespaceShift,
             EventTracer::NamespaceForName("central"));
-  json::Value dump = tracer.ToJson();
-  const json::Value* ns = dump.Find("span_namespace");
+  json::Value dump = tracer.ToPerfettoJson();
+  const json::Value* ns = dump.Find("otherData")->Find("span_namespace");
   ASSERT_NE(ns, nullptr);
   EXPECT_EQ(static_cast<uint64_t>(ns->int_number()),
             EventTracer::NamespaceForName("central"));
@@ -543,7 +554,7 @@ TEST(Tracer, SpanNamespaceSurvivesClearAndShowsInDump) {
   plain.Enable();
   plain.Record(1, EventKind::kVmBootStart, "vm:1");
   EXPECT_EQ(plain.events()[0].span, 1u);
-  EXPECT_EQ(plain.ToJson().Find("span_namespace"), nullptr);
+  EXPECT_EQ(plain.ToPerfettoJson().Find("otherData")->Find("span_namespace"), nullptr);
 }
 
 TEST(Tracer, NamespaceForNameIsDeterministicAndNeverZero) {
@@ -737,7 +748,7 @@ TEST(Json, HostileTenantNamesSurviveEveryDump) {
       json::Value doc;
     };
     Dump dumps[] = {{"metrics", registry.ToJson()},
-                    {"trace", tracer.ToJson()},
+                    {"trace", tracer.ToPerfettoJson()},
                     {"health", health.ToJson()},
                     {"flight", flight.ToJson()}};
     for (Dump& dump : dumps) {
@@ -772,6 +783,123 @@ TEST(Json, HostileTenantNamesSurviveEveryDump) {
       }
     }
     EXPECT_TRUE(found) << "tenant label lost from metrics dump: " << json::Escape(name);
+  }
+}
+
+// --- Telemetry bundle ------------------------------------------------------------------
+
+// Every collector populated a little, so each section has content to compare.
+struct BundleFixture {
+  MetricsRegistry registry;
+  EventTracer tracer;
+  HealthMonitor health{&registry};
+  TimeSeriesSampler sampler{&registry};
+  IntCollector int_paths{&registry};
+  FlightRecorder flight;
+  FleetView fleet{&registry, &tracer};
+  std::string folded = "run;FromNetfront@0;IPFilter@1 3\n";
+
+  BundleFixture() {
+    tracer.Enable();
+    tracer.Record(1, EventKind::kVmBootStart, "vm:1");
+    registry.GetCounter("innet_switch_delivered_total")->Increment();
+    health.Enable();
+    health.CountDrop("t1");
+    health.EvaluateAll();
+    sampler.SampleWindow(100);
+    flight.Record(2, EventKind::kVmCrash, "vm:1", "injected");
+  }
+
+  TelemetryBundle Bundle() const {
+    TelemetryBundle bundle;
+    bundle.trace = &tracer;
+    bundle.metrics = &registry;
+    bundle.health = &health;
+    bundle.timeseries = &sampler;
+    bundle.int_paths = &int_paths;
+    bundle.flight = &flight;
+    bundle.folded = &folded;
+    bundle.fleet = &fleet;
+    bundle.fleet_now_ns = 7;
+    return bundle;
+  }
+
+  // Section name -> the collector's own ToJson(), which the bundle embeds
+  // unchanged.
+  std::vector<std::pair<std::string, json::Value>> Sections() const {
+    return {{"metrics", registry.ToJson()},   {"health", health.ToJson()},
+            {"timeseries", sampler.ToJson()}, {"int", int_paths.ToJson()},
+            {"flight", flight.ToJson()},      {"folded", json::Value(folded)},
+            {"fleet", fleet.ToJson(7)}};
+  }
+};
+
+TEST(TelemetryBundle, RoundTripsEverySection) {
+  BundleFixture f;
+  TelemetryBundleReader reader;
+  ASSERT_TRUE(reader.Parse(f.Bundle().ToJson().ToString(2))) << reader.error();
+  for (const auto& [name, expected] : f.Sections()) {
+    const json::Value* section = reader.Section(name);
+    ASSERT_NE(section, nullptr) << name;
+    EXPECT_EQ(section->ToString(2), expected.ToString(2)) << name;
+  }
+  // The trace keys are the tracer's Perfetto export, verbatim.
+  json::Value perfetto = f.tracer.ToPerfettoJson();
+  for (const char* key : {"displayTimeUnit", "traceEvents", "otherData"}) {
+    ASSERT_NE(reader.Section(key), nullptr) << key;
+    EXPECT_EQ(reader.Section(key)->ToString(2), perfetto.Find(key)->ToString(2)) << key;
+  }
+  EXPECT_EQ(reader.Section("innet_telemetry")->int_number(), kTelemetryBundleVersion);
+  EXPECT_EQ(reader.Section("no_such_section"), nullptr);
+  EXPECT_EQ(reader.Missing("no_such_section"), "no no_such_section section");
+
+  // Absent sources leave their keys out.
+  TelemetryBundle trace_only;
+  trace_only.trace = &f.tracer;
+  ASSERT_TRUE(reader.Adopt(trace_only.ToJson()));
+  EXPECT_NE(reader.Section("traceEvents"), nullptr);
+  EXPECT_EQ(reader.Section("metrics"), nullptr);
+}
+
+TEST(TelemetryBundle, UnknownVersionIsRefused) {
+  TelemetryBundleReader reader;
+  for (const char* text : {R"({"innet_telemetry": 2, "metrics": {"metrics": []}})",
+                           R"({"innet_telemetry": "1", "metrics": {"metrics": []}})",
+                           R"({"innet_telemetry": 1.5, "metrics": {"metrics": []}})"}) {
+    EXPECT_FALSE(reader.Parse(text)) << text;
+    EXPECT_EQ(reader.Section("metrics"), nullptr) << text;
+    EXPECT_NE(reader.Missing("metrics").find("unknown telemetry bundle version"),
+              std::string::npos)
+        << text;
+  }
+  // A refused bundle does not poison the next one.
+  EXPECT_TRUE(reader.Parse(R"({"innet_telemetry": 1, "metrics": {"metrics": []}})"));
+  EXPECT_NE(reader.Section("metrics"), nullptr);
+  // Unparseable text and a missing file are refused with the reason.
+  EXPECT_FALSE(reader.Parse(R"({"innet_telemetry": 1, "metr)"));
+  EXPECT_EQ(reader.Section("metrics"), nullptr);
+  EXPECT_FALSE(reader.Load("/nonexistent/bundle.json"));
+  EXPECT_EQ(reader.Missing("metrics"), "cannot read /nonexistent/bundle.json");
+}
+
+TEST(TelemetryBundle, BenchSnapshotResultsResolveToTheSameSections) {
+  BundleFixture f;
+  json::Value results = json::Value::Object();
+  results.Set("series", json::Value::Array());
+  for (auto& [name, value] : f.Sections()) {
+    results.Set(name, std::move(value));
+  }
+  json::Value snapshot = json::Value::Object();
+  snapshot.Set("bench", "fixture");
+  snapshot.Set("results", std::move(results));
+
+  TelemetryBundleReader bundle;
+  ASSERT_TRUE(bundle.Parse(f.Bundle().ToJson().ToString(2))) << bundle.error();
+  TelemetryBundleReader bench;
+  ASSERT_TRUE(bench.Parse(snapshot.ToString(2))) << bench.error();
+  for (const auto& [name, unused] : f.Sections()) {
+    ASSERT_NE(bench.Section(name), nullptr) << name;
+    EXPECT_EQ(bench.Section(name)->ToString(2), bundle.Section(name)->ToString(2)) << name;
   }
 }
 

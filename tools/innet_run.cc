@@ -3,13 +3,9 @@
 //
 // Usage:
 //   innet_run --config FILE [--packets FILE] [--clock-until SECONDS]
-//             [--metrics-out FILE] [--trace-out FILE] [--perfetto-out FILE]
-//             [--health-out FILE]
-//             [--timeseries-out FILE] [--timeseries-window-ms W]
+//             [--telemetry-out FILE]
 //             [--placement-policy first_fit|least_loaded|bin_pack]
-//             [--dataplane-sample-n N] [--dataplane-seed S]
-//             [--int-sample-n N] [--int-out FILE]
-//             [--folded-out FILE] [--flight-recorder-depth K] [--flight-out FILE]
+//             [--dataplane-sample-n N] [--dataplane-seed S] [--int-sample-n N]
 //             [--control-loss P] [--control-dup P] [--control-reorder P]
 //             [--control-delay-ms D] [--control-seed S]
 //
@@ -19,45 +15,35 @@
 //   icmp SRC DST [at SECONDS]
 // Without --packets, a single UDP probe to the first ToNetfront is sent.
 //
-// With any of the dump flags, the config additionally goes through the full
-// stack: the orchestrator admits the request, the placement engine ranks the
-// Figure 3 platforms (--placement-policy, default first_fit), the controller
-// verifies the candidates in order, and a ClickOS guest boots on the chosen
-// platform — so the dump contains admission/verification/boot telemetry next
-// to the per-element packet counters, and the trace contains one connected
-// deploy span tree (deploy_request → admission → verify → boot → cutover).
+// --telemetry-out writes one telemetry bundle (src/obs/bundle.h; render it
+// with innet_top FILE, or load it in ui.perfetto.dev as a trace). It turns
+// everything on: the config additionally goes through the full stack — the
+// orchestrator admits the request, the placement engine ranks the Figure 3
+// platforms (--placement-policy, default first_fit), the controller verifies
+// the candidates in order, and a ClickOS guest boots on the chosen platform —
+// so the bundle holds:
+//   - metrics: admission/verification/boot telemetry next to the per-element
+//     packet counters;
+//   - the trace: one connected deploy span tree (deploy_request → admission
+//     → verify → boot → cutover) as Perfetto trace events;
+//   - health: the per-tenant SLO report;
+//   - timeseries: every registry instrument sampled every 100 ms of sim time
+//     into bounded rings (counters as per-window rates, histograms as
+//     windowed p50/p99) with the anomaly flags the EWMA detector raised;
+//   - int: in-band telemetry, one hop stack per tagged packet walk (every
+//     walk unless --int-sample-n N picks 1 in N, seeded from
+//     --dataplane-seed), folded into per-tenant path latency and attested
+//     against the SymNet-verified path digest the full-stack deploy
+//     registered (innet_path_conformance_violations_total on mismatch);
+//   - flight: the platform's flight-recorder ring and post-mortem bundles;
+//   - folded: per-element folded stacks ("prefix;a;b;c weight") for
+//     flamegraph.pl / speedscope.
 // Everything derives from the simulated clock and deterministic work counts:
-// two runs produce byte-identical files.
+// two runs write byte-identical bundles.
 //
-// --trace-out writes the native event dump; --perfetto-out writes the same
-// events as Chrome/Perfetto trace_event JSON (load in ui.perfetto.dev).
-// --health-out writes the per-tenant SLO health report.
-//
-// Data-plane telemetry: --dataplane-sample-n N turns on per-element profiling
-// (folded-stack attribution for every packet, plus a full element-by-element
-// walk trace for 1 in N packets, chosen deterministically from
-// --dataplane-seed). --folded-out writes the folded chains
-// ("prefix;a;b;c weight") for flamegraph.pl / speedscope. The platform's
-// flight recorder is always on; --flight-recorder-depth sizes its ring and
-// --flight-out dumps the ring + any post-mortem bundles as JSON
-// (render with innet_top --postmortem).
-//
-// In-band telemetry: --int-sample-n N tags 1 in N packet walks
-// (deterministic, seeded from --dataplane-seed) with an in-band hop stack;
-// each tagged packet carries per-element hop records to its egress or drop
-// point, where the collector folds them into per-tenant path latency and —
-// once the full-stack deploy has registered the verify-time path digest —
-// attests the observed element sequence against the SymNet-verified path
-// set, counting innet_path_conformance_violations_total on mismatch.
-// --int-out dumps the collector (render with innet_top --int).
-//
-// Time-series telemetry: --timeseries-out samples every registry instrument
-// on a fixed sim-clock cadence (--timeseries-window-ms, default 100) into
-// bounded per-metric rings — counters become per-window rates, histograms
-// windowed p50/p99 — and dumps them with any anomaly flags the EWMA detector
-// raised (drop-rate spikes, verify-latency inflation, control retry storms).
-// Like every other dump, the file is byte-identical across repeat seeded
-// runs. Render with innet_top --timeseries.
+// Data-plane profiling: --dataplane-sample-n N attributes every packet to
+// folded stacks and additionally records a full element-by-element walk
+// trace for 1 in N packets, chosen deterministically from --dataplane-seed.
 //
 // Control-plane chaos: any of --control-loss/--control-dup/--control-reorder/
 // --control-delay-ms routes the install over the lossy control channel
@@ -76,6 +62,7 @@
 #include "src/click/graph.h"
 #include "src/controller/controller.h"
 #include "src/controller/orchestrator.h"
+#include "src/obs/bundle.h"
 #include "src/obs/health.h"
 #include "src/obs/int_telemetry.h"
 #include "src/obs/metrics.h"
@@ -197,21 +184,12 @@ struct SamplerTicker {
 int main(int argc, char** argv) {
   std::string config_path;
   std::string packets_path;
-  std::string metrics_out;
-  std::string trace_out;
-  std::string perfetto_out;
-  std::string health_out;
+  std::string telemetry_out;
   std::string placement_policy;
-  std::string folded_out;
-  std::string flight_out;
-  std::string timeseries_out;
-  double timeseries_window_ms = 100;
   double clock_until = 1.0;
   uint32_t sample_n = 0;
   uint32_t int_sample_n = 0;
-  std::string int_out;
   uint64_t dataplane_seed = 0;
-  size_t flight_depth = 0;  // 0 = keep the recorder's default
   double control_loss = 0;
   double control_dup = 0;
   double control_reorder = 0;
@@ -225,18 +203,8 @@ int main(int argc, char** argv) {
       packets_path = argv[++i];
     } else if (arg == "--clock-until" && i + 1 < argc) {
       clock_until = std::atof(argv[++i]);
-    } else if (arg == "--metrics-out" && i + 1 < argc) {
-      metrics_out = argv[++i];
-    } else if (arg == "--trace-out" && i + 1 < argc) {
-      trace_out = argv[++i];
-    } else if (arg == "--perfetto-out" && i + 1 < argc) {
-      perfetto_out = argv[++i];
-    } else if (arg == "--health-out" && i + 1 < argc) {
-      health_out = argv[++i];
-    } else if (arg == "--timeseries-out" && i + 1 < argc) {
-      timeseries_out = argv[++i];
-    } else if (arg == "--timeseries-window-ms" && i + 1 < argc) {
-      timeseries_window_ms = std::atof(argv[++i]);
+    } else if (arg == "--telemetry-out" && i + 1 < argc) {
+      telemetry_out = argv[++i];
     } else if (arg == "--placement-policy" && i + 1 < argc) {
       placement_policy = argv[++i];
     } else if (arg == "--dataplane-sample-n" && i + 1 < argc) {
@@ -245,14 +213,6 @@ int main(int argc, char** argv) {
       dataplane_seed = static_cast<uint64_t>(std::atoll(argv[++i]));
     } else if (arg == "--int-sample-n" && i + 1 < argc) {
       int_sample_n = static_cast<uint32_t>(std::atoi(argv[++i]));
-    } else if (arg == "--int-out" && i + 1 < argc) {
-      int_out = argv[++i];
-    } else if (arg == "--folded-out" && i + 1 < argc) {
-      folded_out = argv[++i];
-    } else if (arg == "--flight-recorder-depth" && i + 1 < argc) {
-      flight_depth = static_cast<size_t>(std::atoll(argv[++i]));
-    } else if (arg == "--flight-out" && i + 1 < argc) {
-      flight_out = argv[++i];
     } else if (arg == "--control-loss" && i + 1 < argc) {
       control_loss = std::atof(argv[++i]);
     } else if (arg == "--control-dup" && i + 1 < argc) {
@@ -266,14 +226,9 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s --config FILE [--packets FILE] [--clock-until SECONDS]\n"
-                   "          [--metrics-out FILE] [--trace-out FILE] [--perfetto-out FILE]\n"
-                   "          [--health-out FILE]\n"
-                   "          [--timeseries-out FILE] [--timeseries-window-ms W]\n"
+                   "          [--telemetry-out FILE]\n"
                    "          [--placement-policy first_fit|least_loaded|bin_pack]\n"
-                   "          [--dataplane-sample-n N] [--dataplane-seed S]\n"
-                   "          [--int-sample-n N] [--int-out FILE]\n"
-                   "          [--folded-out FILE] [--flight-recorder-depth K] "
-                   "[--flight-out FILE]\n"
+                   "          [--dataplane-sample-n N] [--dataplane-seed S] [--int-sample-n N]\n"
                    "          [--control-loss P] [--control-dup P] [--control-reorder P]\n"
                    "          [--control-delay-ms D] [--control-seed S]\n",
                    argv[0]);
@@ -300,39 +255,30 @@ int main(int argc, char** argv) {
                  placement_policy.c_str());
     return 2;
   }
-  const bool want_int = int_sample_n > 0 || !int_out.empty();
+  const bool want_telemetry = !telemetry_out.empty();
+  const bool want_int = int_sample_n > 0 || want_telemetry;
   if (want_int) {
     if (int_sample_n == 0) {
-      int_sample_n = 1;  // --int-out alone means "tag every walk"
+      int_sample_n = 1;  // the bundle alone means "tag every walk"
     }
     obs::Int().Enable();
   }
-  const bool want_profiling = sample_n > 0 || !folded_out.empty() || want_int;
-  const bool want_timeseries = !timeseries_out.empty();
-  const bool want_obs = !metrics_out.empty() || !trace_out.empty() || !perfetto_out.empty() ||
-                        !health_out.empty() || want_timeseries;
+  const bool want_profiling = sample_n > 0 || want_int;
   const bool want_control_faults =
       control_loss > 0 || control_dup > 0 || control_reorder > 0 || control_delay_ms > 0;
-  const bool want_stack = want_obs || !placement_policy.empty() || want_profiling ||
-                          !flight_out.empty() || want_control_faults;
+  const bool want_stack =
+      want_telemetry || !placement_policy.empty() || want_profiling || want_control_faults;
   sim::EventQueue clock;
-  if (want_obs) {
-    obs::Tracer().Enable();
-    obs::Tracer().SetTimeSource([&clock] { return clock.now(); });
-    obs::Health().Enable();
-  }
   // The sampler rides the sim clock: one tick per window, rescheduled from
-  // inside each tick, plus a final flush before the dump so the tail of the
-  // run (after the last whole window) still lands in the series.
+  // inside each tick, plus a final flush before the bundle is written so the
+  // tail of the run (after the last whole window) still lands in the series.
   obs::TimeSeriesSampler sampler;
   obs::AnomalyDetector detector;
   SamplerTicker ticker{&clock, &sampler};
-  if (want_timeseries) {
-    if (timeseries_window_ms <= 0) {
-      std::fprintf(stderr, "--timeseries-window-ms must be > 0\n");
-      return 2;
-    }
-    sampler.set_window_ns(static_cast<uint64_t>(timeseries_window_ms * 1e6));
+  if (want_telemetry) {
+    obs::Tracer().Enable();
+    obs::Tracer().SetTimeSource([&clock] { return clock.now(); });
+    obs::Health().Enable();
     detector.UseDefaultRules();
     sampler.AttachDetector(&detector);
     ticker.Schedule();
@@ -486,9 +432,6 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(deployed.vm_id));
       clock.RunUntil(clock.now() + sim::FromSeconds(2));
       box = orch.platform(deployed.outcome.platform);
-      if (flight_depth > 0) {
-        box->flight_recorder().set_depth(flight_depth);
-      }
       if (want_profiling) {
         box->EnableDataplaneProfiling(sample_n, dataplane_seed, int_sample_n);
       }
@@ -503,85 +446,35 @@ int main(int argc, char** argv) {
     }
     obs::Health().EvaluateAll();
 
-    // These dumps read the orchestrator's platforms, so they happen before
+    // The bundle reads the orchestrator's platform, so it is written before
     // the orchestrator goes out of scope.
-    if (!folded_out.empty()) {
-      std::ofstream out(folded_out);
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", folded_out.c_str());
-        return 1;
-      }
-      graph->WriteFolded(out);
+    if (want_telemetry) {
+      graph->ExportMetrics(&obs::Registry());
+      obs::Tracer().ExportMetrics(&obs::Registry());
+      sampler.SampleWindow(clock.now());  // flush the partial tail window
+      std::ostringstream folded;
+      graph->WriteFolded(folded);
       if (box != nullptr) {
-        box->WriteFoldedStacks(out);
+        box->WriteFoldedStacks(folded);
       }
-      std::printf("folded stacks -> %s\n", folded_out.c_str());
-    }
-    if (!flight_out.empty()) {
-      obs::FlightRecorder none;
-      obs::FlightRecorder& flight = box != nullptr ? box->flight_recorder() : none;
-      if (!flight.WriteJsonFile(flight_out)) {
-        std::fprintf(stderr, "cannot write %s\n", flight_out.c_str());
+      const std::string folded_text = folded.str();
+      obs::TelemetryBundle bundle;
+      bundle.trace = &obs::Tracer();
+      bundle.metrics = &obs::Registry();
+      bundle.health = &obs::Health();
+      bundle.timeseries = &sampler;
+      bundle.int_paths = &obs::Int();
+      bundle.flight = box != nullptr ? &box->flight_recorder() : nullptr;
+      bundle.folded = &folded_text;
+      if (!bundle.WriteFile(telemetry_out)) {
+        std::fprintf(stderr, "cannot write %s\n", telemetry_out.c_str());
         return 1;
       }
-      std::printf("flight recorder: %llu events, %zu postmortems -> %s\n",
-                  static_cast<unsigned long long>(flight.recorded()),
-                  flight.postmortems().size(), flight_out.c_str());
+      std::printf("telemetry: %zu metrics, %zu trace events, %zu series, %llu postcards -> %s\n",
+                  obs::Registry().MetricNames().size(), obs::Tracer().events().size(),
+                  sampler.series_count(),
+                  static_cast<unsigned long long>(obs::Int().postcards()), telemetry_out.c_str());
     }
-  }
-  graph->ExportMetrics(&obs::Registry());
-  obs::Tracer().ExportMetrics(&obs::Registry());
-
-  if (!metrics_out.empty()) {
-    if (!obs::Registry().WriteJsonFile(metrics_out)) {
-      std::fprintf(stderr, "cannot write %s\n", metrics_out.c_str());
-      return 1;
-    }
-    std::printf("metrics: %zu instruments -> %s\n", obs::Registry().MetricNames().size(),
-                metrics_out.c_str());
-  }
-  if (!trace_out.empty()) {
-    if (!obs::Tracer().WriteJsonFile(trace_out)) {
-      std::fprintf(stderr, "cannot write %s\n", trace_out.c_str());
-      return 1;
-    }
-    std::printf("trace: %zu events -> %s\n", obs::Tracer().events().size(), trace_out.c_str());
-  }
-  if (!perfetto_out.empty()) {
-    if (!obs::Tracer().WritePerfettoFile(perfetto_out)) {
-      std::fprintf(stderr, "cannot write %s\n", perfetto_out.c_str());
-      return 1;
-    }
-    std::printf("perfetto: %zu events -> %s\n", obs::Tracer().events().size(),
-                perfetto_out.c_str());
-  }
-  if (!health_out.empty()) {
-    if (!obs::Health().WriteJsonFile(health_out)) {
-      std::fprintf(stderr, "cannot write %s\n", health_out.c_str());
-      return 1;
-    }
-    std::printf("health: %zu tenants -> %s\n", obs::Health().tenant_count(),
-                health_out.c_str());
-  }
-  if (!int_out.empty()) {
-    if (!obs::Int().WriteJsonFile(int_out)) {
-      std::fprintf(stderr, "cannot write %s\n", int_out.c_str());
-      return 1;
-    }
-    std::printf("int: %llu postcards, %llu violations -> %s\n",
-                static_cast<unsigned long long>(obs::Int().postcards()),
-                static_cast<unsigned long long>(obs::Int().violations()), int_out.c_str());
-  }
-  if (want_timeseries) {
-    sampler.SampleWindow(clock.now());  // flush the partial tail window
-    if (!sampler.WriteJsonFile(timeseries_out)) {
-      std::fprintf(stderr, "cannot write %s\n", timeseries_out.c_str());
-      return 1;
-    }
-    std::printf("timeseries: %zu series over %llu windows, %zu anomalies -> %s\n",
-                sampler.series_count(),
-                static_cast<unsigned long long>(sampler.windows_sampled()),
-                detector.flags().size(), timeseries_out.c_str());
   }
   return 0;
 }

@@ -2,43 +2,41 @@
 // the operator's "why is this tenant slow?" view.
 //
 // Usage:
-//   innet_top --metrics FILE [--trace FILE] [--health FILE] [--postmortem FILE]
-//             [--timeseries FILE] [--int FILE]
-//   innet_top --postmortem FILE
-//   innet_top --timeseries FILE
-//   innet_top --int FILE
+//   innet_top FILE
 //   innet_top --run CONFIG [--placement-policy first_fit|least_loaded|bin_pack]
 //
-// Offline mode reads a metrics dump (either the registry's native
-// {"metrics": [...]} shape, or a bench snapshot whose results embed one under
-// results.metrics, e.g. BENCH_placement_scaling.json) and renders per-tenant
-// health/latency/drop rows, per-platform utilization rows, and the fleet
-// totals. --trace adds a per-kind event summary from a trace dump; --health
-// overrides the health-state column with a health report file.
-//
-// --postmortem renders a flight-recorder dump (innet_run --flight-out, or the
-// one bench/dataplane_profile writes): per crash/give-up/abort bundle, the
-// dying graph's element counters and the last-K events leading up to it.
-//
-// --timeseries renders a TRENDS section from an innet_run --timeseries-out
-// dump: ASCII sparklines per tenant-labeled series (grouped by tenant), a
-// fleet row for the headline platform counters, and any anomaly flags the
-// EWMA detector raised during the run.
-//
-// --int renders a PATHS section from an innet_run --int-out dump: per tenant,
-// every observed element chain with packet counts and hop latency, marked
-// against the verify-time path digest — ** PATH VIOLATION ** rows are chains
-// the symbolic engine never produced for that tenant's config. Degrades to a
-// "no data" note on missing, truncated, or pre-INT dumps.
+// FILE is a telemetry bundle (innet_run --telemetry-out, or the one
+// bench/federation_failover writes; format in src/obs/bundle.h) or a bench
+// snapshot (BENCH_*.json), whose `results` object embeds the same sections.
+// Every section renders from that one file:
+//   - metrics: per-tenant health/latency/drop rows (the health column from
+//     the `health` section when present, else the health gauge),
+//     per-platform utilization, the control plane, federation regions and
+//     fleet totals;
+//   - TRACE: per-event-name counts from the Perfetto `traceEvents`, with
+//     root spans and the ring's dropped count (`otherData`);
+//   - POSTMORTEM: per crash/give-up/abort bundle of the `flight` section, the
+//     dying graph's element counters and the last-K events leading up to it;
+//   - TRENDS: ASCII sparklines per tenant-labeled `timeseries` series, a
+//     fleet row for the headline platform counters, and any anomaly flags
+//     the EWMA detector raised;
+//   - FLEET: the coordinator's per-region freshness/anomaly rows, merged
+//     fleet series and correlated incidents;
+//   - PATHS: per tenant of the `int` section, every observed element chain
+//     with packet counts and hop latency, marked against the verify-time
+//     path digest — ** PATH VIOLATION ** rows are chains the symbolic engine
+//     never produced for that tenant's config.
 //
 // Live mode (--run) performs one full-stack orchestrated deploy of CONFIG on
 // the Figure 3 topology — admission, placement, verification, ClickOS boot,
-// a few probe packets — and renders the same tables from the fresh registry.
+// a few probe packets — builds the same bundle in memory and renders it
+// through the same path.
 //
-// All output derives from the dump contents (or the simulated clock in live
+// All output derives from the file contents (or the simulated clock in live
 // mode): the same input always renders byte-identical tables. A missing,
-// truncated, or shape-mismatched dump degrades to a per-section "no data"
-// line — partial telemetry never turns into an error or garbage rows.
+// truncated or shape-mismatched section — or a bundle of an unknown version —
+// degrades to a per-section "no data" line: partial telemetry never turns
+// into an error or garbage rows.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -51,6 +49,7 @@
 #include <vector>
 
 #include "src/controller/orchestrator.h"
+#include "src/obs/bundle.h"
 #include "src/obs/health.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
@@ -79,38 +78,6 @@ struct Instrument {
     return it == labels.end() ? nullptr : &it->second;
   }
 };
-
-bool ReadFile(const std::string& path, std::string* out, std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    *error = "cannot read " + path;
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  *out = buf.str();
-  return true;
-}
-
-// Accepts the registry's native dump ({"metrics": [...]}) or a bench
-// snapshot embedding one under results.metrics.
-const obs::json::Value* FindMetricsArray(const obs::json::Value& root) {
-  const obs::json::Value* metrics = root.Find("metrics");
-  if (metrics != nullptr && metrics->is_array()) {
-    return metrics;
-  }
-  const obs::json::Value* results = root.Find("results");
-  if (results != nullptr) {
-    const obs::json::Value* embedded = results->Find("metrics");
-    if (embedded != nullptr) {
-      metrics = embedded->Find("metrics");
-      if (metrics != nullptr && metrics->is_array()) {
-        return metrics;
-      }
-    }
-  }
-  return nullptr;
-}
 
 std::vector<Instrument> ParseInstruments(const obs::json::Value& metrics) {
   std::vector<Instrument> out;
@@ -188,7 +155,7 @@ const char* HealthNameForLevel(double level) {
 
 void RenderTenants(const std::vector<Instrument>& instruments,
                    const obs::json::Value* health_root) {
-  // Health report states (when a --health file was given) win over the
+  // Health report states (when the bundle has a health section) win over the
   // innet_tenant_health_state gauge.
   std::map<std::string, std::string> report_states;
   if (health_root != nullptr) {
@@ -394,11 +361,9 @@ void RenderRegions(const std::vector<Instrument>& instruments) {
   std::printf("\n");
 }
 
-// Fleet observability dump (--fleet, the coordinator's FleetView written by
-// bench/federation_failover or any coordinator embedder): per-region
-// freshness/anomaly rows, the merged fleet series, and correlated incidents.
-// A dump without the top-level "fleet" key (truncated, or predates the
-// federated observability plane) degrades to a one-line "no data" note.
+// The coordinator's FleetView (the `fleet` section bench/federation_failover
+// writes): per-region freshness/anomaly rows, the merged fleet series, and
+// correlated incidents.
 void RenderFleet(const obs::json::Value& root) {
   const obs::json::Value* fleet = root.Find("fleet");
   if (fleet == nullptr || !fleet->is_object()) {
@@ -527,30 +492,41 @@ void RenderTotals(const std::vector<Instrument>& instruments) {
   std::printf("\n");
 }
 
-void RenderTraceSummary(const obs::json::Value& trace_root) {
-  const obs::json::Value* events = trace_root.Find("events");
+// TRACE: the bundle's Perfetto traceEvents counted by name. The export folds
+// span ends into slice durations, so they have no row of their own.
+void RenderTraceSummary(const obs::TelemetryBundleReader& bundle) {
+  const obs::json::Value* events = bundle.Section("traceEvents");
   if (events == nullptr || !events->is_array()) {
-    std::printf("TRACE: no data (dump has no events array)\n\n");
+    std::printf("TRACE: no data (%s)\n\n", bundle.Missing("traceEvents").c_str());
     return;
   }
-  std::map<std::string, uint64_t> per_kind;
+  std::map<std::string, uint64_t> per_name;
+  uint64_t total = 0;
   uint64_t roots = 0;
   for (size_t i = 0; i < events->size(); ++i) {
-    const auto* kind = events->at(i).Find("kind");
-    if (kind != nullptr) {
-      ++per_kind[kind->string_value()];
+    const obs::json::Value& event = events->at(i);
+    const auto* phase = event.Find("ph");
+    if (phase != nullptr && phase->string_value() == "M") {
+      continue;  // track-name metadata, not an event
     }
-    const auto* parent = events->at(i).Find("parent");
+    ++total;
+    if (const auto* name = event.Find("name")) {
+      ++per_name[name->string_value()];
+    }
+    const auto* args = event.Find("args");
+    const auto* parent = args != nullptr ? args->Find("parent") : nullptr;
     if (parent != nullptr && parent->int_number() == 0) {
       ++roots;
     }
   }
-  const obs::json::Value* dropped = trace_root.Find("dropped");
-  std::printf("TRACE (%zu events, %lld dropped, %llu root spans)\n", events->size(),
+  const obs::json::Value* other = bundle.Section("otherData");
+  const obs::json::Value* dropped = other != nullptr ? other->Find("dropped") : nullptr;
+  std::printf("TRACE (%llu events, %lld dropped, %llu root spans)\n",
+              static_cast<unsigned long long>(total),
               dropped != nullptr ? static_cast<long long>(dropped->int_number()) : 0,
               static_cast<unsigned long long>(roots));
-  for (const auto& [kind, count] : per_kind) {
-    std::printf("  %-24s %8llu\n", kind.c_str(), static_cast<unsigned long long>(count));
+  for (const auto& [name, count] : per_name) {
+    std::printf("  %-24s %8llu\n", name.c_str(), static_cast<unsigned long long>(count));
   }
   std::printf("\n");
 }
@@ -647,7 +623,7 @@ void RenderPostmortems(const obs::json::Value& root) {
   std::printf("\n");
 }
 
-// --- TRENDS (timeseries dump) -----------------------------------------------
+// --- TRENDS (timeseries section) --------------------------------------------
 
 // The value a sparkline plots for one point, by series kind.
 double PointValue(const obs::json::Value& point, const std::string& kind) {
@@ -795,8 +771,8 @@ void RenderTrends(const obs::json::Value& root) {
   std::printf("\n");
 }
 
-// PATHS: per-tenant observed element chains from an innet_run --int-out dump,
-// with attestation status against the verify-time path digest. Violations are
+// PATHS: per-tenant observed element chains from the `int` section, with
+// attestation status against the verify-time path digest. Violations are
 // the headline — a chain the symbolic engine never produced means the data
 // plane diverged from what was verified at deploy time.
 void RenderPaths(const obs::json::Value& root) {
@@ -857,133 +833,59 @@ void RenderPaths(const obs::json::Value& root) {
   std::printf("\n");
 }
 
-int RenderFromFiles(const std::string& metrics_path, const std::string& trace_path,
-                    const std::string& health_path, const std::string& postmortem_path,
-                    const std::string& timeseries_path, const std::string& fleet_path,
-                    const std::string& int_path) {
-  std::string text;
-  std::string error;
-
-  // Each section degrades independently: a missing or truncated file renders
-  // as a one-line "no data" note, never an error exit — partial telemetry
-  // after a crash is exactly when this tool matters.
-  std::vector<Instrument> instruments;
-  bool have_metrics = false;
-  std::string metrics_note;
-  obs::json::Value root;
-  if (!metrics_path.empty()) {
-    if (!ReadFile(metrics_path, &text, &error)) {
-      metrics_note = error;
-    } else if (!obs::json::Value::Parse(text, &root, &error)) {
-      metrics_note = metrics_path + ": " + error;
-    } else {
-      const obs::json::Value* metrics = FindMetricsArray(root);
-      if (metrics == nullptr) {
-        metrics_note = metrics_path + ": no metrics array (native dump or bench snapshot)";
-      } else {
-        instruments = ParseInstruments(*metrics);
-        have_metrics = true;
-      }
-    }
-  }
-
-  obs::json::Value health_root;
-  bool have_health = false;
-  std::string health_note;
-  if (!health_path.empty()) {
-    if (!ReadFile(health_path, &text, &error)) {
-      health_note = error;
-    } else if (!obs::json::Value::Parse(text, &health_root, &error)) {
-      health_note = health_path + ": " + error;
-    } else {
-      have_health = true;
-    }
-  }
-
-  if (have_metrics) {
-    std::printf("innet_top — %s (%zu instruments)\n\n", metrics_path.c_str(),
-                instruments.size());
+// Renders one section with `render`, or its one-line "no data" note when the
+// bundle lacks it.
+void RenderSection(const obs::TelemetryBundleReader& bundle, const char* key, const char* title,
+                   void (*render)(const obs::json::Value&)) {
+  if (const obs::json::Value* section = bundle.Section(key)) {
+    render(*section);
   } else {
-    std::printf("innet_top\n\n");
+    std::printf("%s: no data (%s)\n\n", title, bundle.Missing(key).c_str());
   }
-  if (!metrics_note.empty()) {
-    std::printf("METRICS: no data (%s)\n\n", metrics_note.c_str());
+}
+
+// The one render path, for a file and for a live run alike. Each section
+// degrades independently: partial telemetry after a crash is exactly when
+// this tool matters.
+void RenderBundle(const obs::TelemetryBundleReader& bundle, const std::string& title) {
+  const obs::json::Value* metrics = bundle.Section("metrics");
+  const obs::json::Value* metrics_array = metrics != nullptr ? metrics->Find("metrics") : nullptr;
+  std::vector<Instrument> instruments;
+  const bool have_metrics = metrics_array != nullptr && metrics_array->is_array();
+  if (have_metrics) {
+    instruments = ParseInstruments(*metrics_array);
+    std::printf("innet_top — %s (%zu instruments)\n\n", title.c_str(), instruments.size());
+  } else {
+    std::printf("innet_top — %s\n\n", title.c_str());
+    std::printf("METRICS: no data (%s)\n\n",
+                metrics != nullptr ? "no metrics array" : bundle.Missing("metrics").c_str());
   }
-  if (!health_note.empty()) {
-    std::printf("HEALTH: no data (%s)\n\n", health_note.c_str());
+  const obs::json::Value* health = bundle.Section("health");
+  if (health == nullptr) {
+    std::printf("HEALTH: no data (%s)\n\n", bundle.Missing("health").c_str());
   }
   if (have_metrics) {
-    RenderTenants(instruments, have_health ? &health_root : nullptr);
+    RenderTenants(instruments, health);
     RenderPlatforms(instruments);
     RenderControlPlane(instruments);
     RenderRegions(instruments);
     RenderTotals(instruments);
   }
-
-  if (!trace_path.empty()) {
-    obs::json::Value trace_root;
-    if (!ReadFile(trace_path, &text, &error)) {
-      std::printf("TRACE: no data (%s)\n\n", error.c_str());
-    } else if (!obs::json::Value::Parse(text, &trace_root, &error)) {
-      std::printf("TRACE: no data (%s: %s)\n\n", trace_path.c_str(), error.c_str());
-    } else {
-      RenderTraceSummary(trace_root);
-    }
-  }
-
-  if (!postmortem_path.empty()) {
-    obs::json::Value flight_root;
-    if (!ReadFile(postmortem_path, &text, &error)) {
-      std::printf("POSTMORTEM: no data (%s)\n\n", error.c_str());
-    } else if (!obs::json::Value::Parse(text, &flight_root, &error)) {
-      std::printf("POSTMORTEM: no data (%s: %s)\n\n", postmortem_path.c_str(), error.c_str());
-    } else {
-      RenderPostmortems(flight_root);
-    }
-  }
-
-  if (!timeseries_path.empty()) {
-    obs::json::Value ts_root;
-    if (!ReadFile(timeseries_path, &text, &error)) {
-      std::printf("TRENDS: no data (%s)\n\n", error.c_str());
-    } else if (!obs::json::Value::Parse(text, &ts_root, &error)) {
-      std::printf("TRENDS: no data (%s: %s)\n\n", timeseries_path.c_str(), error.c_str());
-    } else {
-      RenderTrends(ts_root);
-    }
-  }
-
-  if (!fleet_path.empty()) {
-    obs::json::Value fleet_root;
-    if (!ReadFile(fleet_path, &text, &error)) {
-      std::printf("FLEET: no data (%s)\n\n", error.c_str());
-    } else if (!obs::json::Value::Parse(text, &fleet_root, &error)) {
-      std::printf("FLEET: no data (%s: %s)\n\n", fleet_path.c_str(), error.c_str());
-    } else {
-      RenderFleet(fleet_root);
-    }
-  }
-
-  if (!int_path.empty()) {
-    obs::json::Value int_root;
-    if (!ReadFile(int_path, &text, &error)) {
-      std::printf("PATHS: no data (%s)\n\n", error.c_str());
-    } else if (!obs::json::Value::Parse(text, &int_root, &error)) {
-      std::printf("PATHS: no data (%s: %s)\n\n", int_path.c_str(), error.c_str());
-    } else {
-      RenderPaths(int_root);
-    }
-  }
-  return 0;
+  RenderTraceSummary(bundle);
+  RenderSection(bundle, "flight", "POSTMORTEM", RenderPostmortems);
+  RenderSection(bundle, "timeseries", "TRENDS", RenderTrends);
+  RenderSection(bundle, "fleet", "FLEET", RenderFleet);
+  RenderSection(bundle, "int", "PATHS", RenderPaths);
 }
 
 int RunLive(const std::string& config_path, const std::string& placement_policy) {
-  std::string config_text;
-  std::string error;
-  if (!ReadFile(config_path, &config_text, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
+  std::ifstream config_in(config_path);
+  if (!config_in) {
+    std::fprintf(stderr, "cannot read %s\n", config_path.c_str());
     return 1;
   }
+  std::ostringstream config_text;
+  config_text << config_in.rdbuf();
   scheduler::PlacementPolicyKind policy = scheduler::PlacementPolicyKind::kFirstFit;
   if (!placement_policy.empty() && !scheduler::ParsePlacementPolicy(placement_policy, &policy)) {
     std::fprintf(stderr, "unknown placement policy '%s'\n", placement_policy.c_str());
@@ -1001,7 +903,7 @@ int RunLive(const std::string& config_path, const std::string& placement_policy)
   controller::ClientRequest request;
   request.client_id = "top";
   request.requester = controller::RequesterClass::kOperator;
-  request.click_config = config_text;
+  request.click_config = config_text.str();
   controller::OrchestratedDeploy deployed = orch.Deploy(request);
   if (!deployed.outcome.accepted) {
     std::fprintf(stderr, "deploy rejected: %s\n", deployed.outcome.reason.c_str());
@@ -1020,77 +922,48 @@ int RunLive(const std::string& config_path, const std::string& placement_policy)
   obs::Health().EvaluateAll();
   obs::Tracer().ExportMetrics(&obs::Registry());
 
-  std::vector<Instrument> instruments;
-  {
-    obs::json::Value dump = obs::Registry().ToJson();
-    instruments = ParseInstruments(*dump.Find("metrics"));
-  }
-  std::printf("innet_top — live run of %s -> %s (%zu instruments)\n\n", config_path.c_str(),
-              deployed.outcome.platform.c_str(), instruments.size());
-  RenderTenants(instruments, nullptr);
-  RenderPlatforms(instruments);
-  RenderControlPlane(instruments);
-  RenderRegions(instruments);
-  RenderTotals(instruments);
-  RenderTraceSummary(obs::Tracer().ToJson());
+  obs::TelemetryBundle bundle;
+  bundle.trace = &obs::Tracer();
+  bundle.metrics = &obs::Registry();
+  bundle.health = &obs::Health();
+  bundle.flight = &box->flight_recorder();
+  obs::TelemetryBundleReader reader;
+  reader.Adopt(bundle.ToJson());
+  RenderBundle(reader, "live run of " + config_path + " -> " + deployed.outcome.platform);
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string metrics_path;
-  std::string trace_path;
-  std::string health_path;
-  std::string postmortem_path;
-  std::string timeseries_path;
-  std::string fleet_path;
-  std::string int_path;
+  std::string path;
   std::string run_config;
   std::string placement_policy;
+  bool usage = false;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--metrics" && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else if (arg == "--trace" && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (arg == "--health" && i + 1 < argc) {
-      health_path = argv[++i];
-    } else if (arg == "--postmortem" && i + 1 < argc) {
-      postmortem_path = argv[++i];
-    } else if (arg == "--timeseries" && i + 1 < argc) {
-      timeseries_path = argv[++i];
-    } else if (arg == "--fleet" && i + 1 < argc) {
-      fleet_path = argv[++i];
-    } else if (arg == "--int" && i + 1 < argc) {
-      int_path = argv[++i];
-    } else if (arg == "--run" && i + 1 < argc) {
+    if (arg == "--run" && i + 1 < argc) {
       run_config = argv[++i];
     } else if (arg == "--placement-policy" && i + 1 < argc) {
       placement_policy = argv[++i];
+    } else if (arg.rfind("--", 0) != 0 && path.empty()) {
+      path = arg;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s --metrics FILE [--trace FILE] [--health FILE] "
-                   "[--postmortem FILE] [--timeseries FILE] [--fleet FILE] [--int FILE]\n"
-                   "       %s --postmortem FILE\n"
-                   "       %s --timeseries FILE\n"
-                   "       %s --fleet FILE\n"
-                   "       %s --int FILE\n"
-                   "       %s --run CONFIG [--placement-policy POLICY]\n",
-                   argv[0], argv[0], argv[0], argv[0], argv[0], argv[0]);
-      return 2;
+      usage = true;
     }
+  }
+  if (usage || path.empty() == run_config.empty()) {
+    std::fprintf(stderr,
+                 "usage: %s FILE\n"
+                 "       %s --run CONFIG [--placement-policy POLICY]\n",
+                 argv[0], argv[0]);
+    return 2;
   }
   if (!run_config.empty()) {
     return RunLive(run_config, placement_policy);
   }
-  if (metrics_path.empty() && postmortem_path.empty() && timeseries_path.empty() &&
-      fleet_path.empty() && int_path.empty()) {
-    std::fprintf(stderr,
-                 "one of --metrics, --postmortem, --timeseries, --fleet, --int, or --run is "
-                 "required\n");
-    return 2;
-  }
-  return RenderFromFiles(metrics_path, trace_path, health_path, postmortem_path,
-                         timeseries_path, fleet_path, int_path);
+  obs::TelemetryBundleReader bundle;
+  bundle.Load(path);  // a refused file renders as per-section "no data" notes
+  RenderBundle(bundle, path);
+  return 0;
 }
