@@ -4,6 +4,7 @@
 // core, with client traffic split evenly.
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -38,15 +39,21 @@ const MiddleboxType kTypes[] = {
 
 int main() {
   bench::PrintHeader("Figure 12: aggregate throughput, N middlebox VMs on one core");
-  std::printf("%-10s", "#VMs");
+  // Gb/s is capped at the paper's 10 GbE line rate, so it reads 10.00
+  // whatever the code speed; Mpps is the uncapped rate this host achieved.
+  std::printf("%-6s", "");
   for (const MiddleboxType& type : kTypes) {
-    std::printf(" %10s", type.name);
+    std::printf(" %15s", type.name);
   }
-  std::printf("   (Gbit/s)\n");
+  std::printf("\n%-6s", "#VMs");
+  for (size_t i = 0; i < std::size(kTypes); ++i) {
+    std::printf(" %7s %7s", "Gbit/s", "Mpps");
+  }
+  std::printf("\n");
   bench::PrintRule();
 
   for (int vms : {1, 10, 20, 40, 60, 80, 100}) {
-    std::printf("%-10d", vms);
+    std::printf("%-6d", vms);
     for (const MiddleboxType& type : kTypes) {
       std::vector<std::unique_ptr<click::Graph>> graphs;
       std::vector<std::vector<Packet>> templates;
@@ -70,7 +77,7 @@ int main() {
       }
       double pps = bench::MeasureAggregatePps(raw, templates, 0.08);
       double gbps = std::min(pps * kFrameBytes * 8, bench::kLineRateBps) / 1e9;
-      std::printf(" %10.2f", gbps);
+      std::printf(" %7.2f %7.3f", gbps, pps / 1e6);
     }
     std::printf("\n");
   }

@@ -5,6 +5,7 @@
 
 #include "src/click/graph.h"
 #include "src/controller/security.h"
+#include "src/netcore/checksum.h"
 #include "src/policy/reach_checker.h"
 #include "src/policy/reach_spec.h"
 #include "src/symexec/click_models.h"
@@ -15,25 +16,38 @@ namespace {
 
 using namespace innet;
 
-Packet TestPacket() {
+// Ethernet + IPv4 + UDP headers in front of the payload.
+constexpr size_t kUdpFrameOverhead = 42;
+constexpr size_t kDefaultFrame = kUdpFrameOverhead + 64;
+
+Packet TestPacket(size_t frame = kDefaultFrame) {
   return Packet::MakeUdp(Ipv4Address::MustParse("8.8.8.8"),
-                         Ipv4Address::MustParse("172.16.3.10"), 5000, 1500, 64);
+                         Ipv4Address::MustParse("172.16.3.10"), 5000, 1500,
+                         frame - kUdpFrameOverhead);
 }
 
-void RunElementBench(benchmark::State& state, const char* config) {
+// The IMIX frame sizes of perfbench's forward_imix: per-packet costs that
+// grow with the frame show up as a slope across these.
+void FrameSizes(benchmark::internal::Benchmark* bench) {
+  bench->ArgName("frame")->Arg(64)->Arg(576)->Arg(1500);
+}
+
+void RunElementBench(benchmark::State& state, const char* config,
+                     size_t frame = kDefaultFrame) {
   std::string error;
   auto graph = click::Graph::FromText(config, &error);
   if (graph == nullptr) {
     state.SkipWithError(error.c_str());
     return;
   }
-  Packet tmpl = TestPacket();
+  Packet tmpl = TestPacket(frame);
   for (auto _ : state) {
     Packet p = tmpl;
     graph->InjectAtSource(p);
     benchmark::DoNotOptimize(p);
   }
   state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(frame));
 }
 
 void BM_Element_Forward(benchmark::State& state) {
@@ -47,11 +61,13 @@ void BM_Element_IPFilter(benchmark::State& state) {
 }
 BENCHMARK(BM_Element_IPFilter);
 
+// Rewrites and re-checksums the whole frame: cost grows with the frame.
 void BM_Element_IPRewriter(benchmark::State& state) {
-  RunElementBench(
-      state, "FromNetfront() -> IPRewriter(pattern - - 10.10.0.5 - 0 0) -> ToNetfront();");
+  RunElementBench(state,
+                  "FromNetfront() -> IPRewriter(pattern - - 10.10.0.5 - 0 0) -> ToNetfront();",
+                  static_cast<size_t>(state.range(0)));
 }
-BENCHMARK(BM_Element_IPRewriter);
+BENCHMARK(BM_Element_IPRewriter)->Apply(FrameSizes);
 
 void BM_Element_NatRewriter(benchmark::State& state) {
   RunElementBench(state,
@@ -67,10 +83,50 @@ void BM_Element_ChangeEnforcer(benchmark::State& state) {
 }
 BENCHMARK(BM_Element_ChangeEnforcer);
 
+// Verifies only the 20-byte IP header: what is left growing with the frame
+// is the packet copy.
 void BM_Element_CheckIPHeader(benchmark::State& state) {
-  RunElementBench(state, "FromNetfront() -> CheckIPHeader() -> ToNetfront();");
+  RunElementBench(state, "FromNetfront() -> CheckIPHeader() -> ToNetfront();",
+                  static_cast<size_t>(state.range(0)));
 }
-BENCHMARK(BM_Element_CheckIPHeader);
+BENCHMARK(BM_Element_CheckIPHeader)->Apply(FrameSizes);
+
+void BM_Checksum(benchmark::State& state) {
+  const size_t frame = static_cast<size_t>(state.range(0));
+  Packet p = TestPacket(frame);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ChecksumPartial(p.data(), p.length()));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(frame));
+}
+BENCHMARK(BM_Checksum)->Apply(FrameSizes);
+
+// move = 0: copy-construct from a template, as every packet injection does.
+// move = 1: move-assign back and forth between two packets.
+void BM_Packet_CopyMove(benchmark::State& state) {
+  const size_t frame = static_cast<size_t>(state.range(0));
+  const Packet tmpl = TestPacket(frame);
+  if (state.range(1) == 0) {
+    for (auto _ : state) {
+      Packet p = tmpl;
+      benchmark::DoNotOptimize(p);
+    }
+    state.SetItemsProcessed(state.iterations());
+  } else {
+    Packet a = tmpl;
+    Packet b;
+    for (auto _ : state) {
+      b = std::move(a);
+      benchmark::DoNotOptimize(b);
+      a = std::move(b);
+      benchmark::DoNotOptimize(a);
+    }
+    state.SetItemsProcessed(state.iterations() * 2);
+  }
+}
+BENCHMARK(BM_Packet_CopyMove)
+    ->ArgNames({"frame", "move"})
+    ->ArgsProduct({{64, 576, 1500}, {0, 1}});
 
 // Demux cost vs branch count: the mechanism behind Figure 8's knee.
 void BM_ClassifierDemux(benchmark::State& state) {

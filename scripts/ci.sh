@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # One-stop CI gate: tier-1 build + tests, the sanitizer suite, perfbench
-# smoke runs, the metrics-documentation lint, the perf-regression gate
+# smoke runs, a packet-path microbenchmark smoke run, the
+# metrics-documentation lint, the perf-regression gate
 # (innet_benchdiff vs the committed BENCH_*.json baselines), the telemetry
 # bundle determinism check, and a JSON lint over every committed BENCH_*.json
 # telemetry file. Any failure fails the whole run.
@@ -58,6 +59,20 @@ sys.exit(0 if result.get("correct") is True and result.get("failed") == 0 else 1
     fail=1
   fi
 done
+
+step "packet-path microbenchmark smoke (checksum, packet copy/move, IPRewriter by frame size)"
+# Only checks that the frame-size microbenchmarks run; their timings are not
+# gated (perfbench is the wall-clock gate).
+if [ ! -x build/bench/microbench_elements ]; then
+  echo "ERROR: build/bench/microbench_elements missing — build step failed?" >&2
+  fail=1
+elif ./build/bench/microbench_elements --benchmark_filter='Checksum|Packet_CopyMove|IPRewriter' \
+    --benchmark_min_time=0.01 >/dev/null; then
+  echo "ok: microbench_elements packet-path benchmarks ran"
+else
+  echo "ERROR: microbench_elements packet-path benchmarks failed" >&2
+  fail=1
+fi
 
 step "metrics documentation lint (check_metrics_docs.sh)"
 scripts/check_metrics_docs.sh || fail=1

@@ -16,9 +16,11 @@ Ipv4Header* IpHeaderOf(uint8_t* buf) {
 void Packet::BuildCommon(Ipv4Address src, Ipv4Address dst, uint8_t proto, size_t l4_len) {
   length_ = kEthHeaderLen + kIpHeaderLen + l4_len;
   l4_offset_ = kEthHeaderLen + kIpHeaderLen;
+  // The frame grows from nothing: zero all of it, so the headers' unset
+  // fields and the payload are defined (see the class comment).
+  std::memset(buf_.data(), 0, length_);
 
   auto* eth = reinterpret_cast<EthernetHeader*>(buf_.data());
-  std::memset(eth, 0, sizeof(*eth));
   eth->ether_type = HostToNet16(kEtherTypeIpv4);
 
   auto* ip = IpHeaderOf(buf_.data());
@@ -65,7 +67,6 @@ Packet Packet::MakeTcp(Ipv4Address src, Ipv4Address dst, uint16_t src_port, uint
                                           sizeof(TcpHeader));
   p.BuildCommon(src, dst, kProtoTcp, sizeof(TcpHeader) + payload_len);
   auto* tcp = reinterpret_cast<TcpHeader*>(p.buf_.data() + p.l4_offset_);
-  std::memset(tcp, 0, sizeof(*tcp));
   tcp->src_port = HostToNet16(src_port);
   tcp->dst_port = HostToNet16(dst_port);
   tcp->data_off = 5 << 4;

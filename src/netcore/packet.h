@@ -7,6 +7,13 @@
 // packet annotations. Mutators keep the wire bytes and the annotations in
 // sync, so checksum-verifying elements and byte-level DPI both see consistent
 // data.
+//
+// Only the bytes [0, length()) of the buffer are specified. The tail is left
+// uninitialised: every operation that grows length() writes every byte it
+// exposes (the builders zero their frame first, FromWire copies it whole),
+// and nothing reads past length(). Copies and moves therefore transfer only
+// the occupied bytes, and a move hands over the INT hop stack instead of
+// copying it.
 #ifndef SRC_NETCORE_PACKET_H_
 #define SRC_NETCORE_PACKET_H_
 
@@ -15,6 +22,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/netcore/headers.h"
@@ -47,21 +55,25 @@ inline constexpr size_t kMaxIntHops = 24;
 
 class Packet {
  public:
-  Packet() = default;
+  // User-provided rather than "= default", so that value-initialisation
+  // (Packet{}, optional::emplace()) does not zero-fill the buffer either.
+  Packet() {}
 
   // Copying moves only the occupied bytes, like a NIC DMA of the actual
   // frame — so per-packet costs scale with packet size, as on real hardware.
-  Packet(const Packet& other) { CopyFrom(other); }
+  Packet(const Packet& other) : int_hops_(other.int_hops_) { CopyFields(other); }
   Packet& operator=(const Packet& other) {
     if (this != &other) {
-      CopyFrom(other);
+      CopyFields(other);
+      int_hops_ = other.int_hops_;
     }
     return *this;
   }
-  Packet(Packet&& other) noexcept { CopyFrom(other); }
+  Packet(Packet&& other) noexcept : int_hops_(std::move(other.int_hops_)) { CopyFields(other); }
   Packet& operator=(Packet&& other) noexcept {
     if (this != &other) {
-      CopyFrom(other);
+      CopyFields(other);
+      int_hops_ = std::move(other.int_hops_);
     }
     return *this;
   }
@@ -194,7 +206,8 @@ class Packet {
  private:
   void BuildCommon(Ipv4Address src, Ipv4Address dst, uint8_t proto, size_t l4_len);
 
-  void CopyFrom(const Packet& other) {
+  // Everything but int_hops_, which the copy and move operations handle.
+  void CopyFields(const Packet& other) {
     std::memcpy(buf_.data(), other.buf_.data(), other.length_);
     length_ = other.length_;
     l4_offset_ = other.l4_offset_;
@@ -212,10 +225,10 @@ class Packet {
     int_flags_ = other.int_flags_;
     int_ingress_ns_ = other.int_ingress_ns_;
     int_truncated_ = other.int_truncated_;
-    int_hops_ = other.int_hops_;
   }
 
-  alignas(8) std::array<uint8_t, kMaxFrameLen> buf_ = {};
+  // Bytes past length_ are unspecified; see the class comment.
+  alignas(8) std::array<uint8_t, kMaxFrameLen> buf_;
   size_t length_ = 0;
   size_t l4_offset_ = 0;
   size_t payload_offset_ = 0;

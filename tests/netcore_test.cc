@@ -1,5 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <memory>
+#include <new>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/click/elements.h"
+#include "src/click/graph.h"
 #include "src/netcore/checksum.h"
 #include "src/netcore/fields.h"
 #include "src/netcore/flowspec.h"
@@ -121,6 +132,65 @@ TEST(Checksum, VerifiesToZero) {
   EXPECT_EQ(Checksum(with_sum, sizeof(with_sum)), 0u);
 }
 
+// The plain loop ChecksumPartial replaced: one big-endian 16-bit word per
+// step. The word-wide version must agree with it bit for bit.
+uint32_t ReferenceChecksumPartial(const uint8_t* data, size_t len, uint32_t initial) {
+  uint64_t sum = initial;
+  size_t i = 0;
+  for (; i + 1 < len; i += 2) {
+    sum += (static_cast<uint32_t>(data[i]) << 8) | data[i + 1];
+  }
+  if (i < len) {
+    sum += static_cast<uint32_t>(data[i]) << 8;
+  }
+  while (sum >> 16) {
+    sum = (sum & 0xFFFF) + (sum >> 16);
+  }
+  return static_cast<uint32_t>(sum);
+}
+
+uint16_t ReferenceTransportChecksum(uint32_t src, uint32_t dst, uint8_t protocol,
+                                    const uint8_t* segment, size_t len) {
+  uint32_t pseudo = (src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF) + protocol +
+                    static_cast<uint32_t>(len);
+  return static_cast<uint16_t>(~ReferenceChecksumPartial(segment, len, pseudo) & 0xFFFF);
+}
+
+TEST(Checksum, WordWideMatchesReferenceLoop) {
+  std::mt19937 rng(1071);
+  std::uniform_int_distribution<uint32_t> initial_dist(0, 0x2FFFF);
+  std::vector<uint8_t> buf(kMaxFrameLen + 8);
+  int mismatches = 0;
+  for (int fill = 0; fill < 3; ++fill) {  // random bytes, all 0x00, all 0xFF
+    for (uint8_t& byte : buf) {
+      byte = fill == 0 ? static_cast<uint8_t>(rng()) : fill == 1 ? 0x00 : 0xFF;
+    }
+    for (size_t len = 0; len <= kMaxFrameLen; ++len) {
+      for (size_t offset = 0; offset < 8; ++offset) {
+        const uint8_t* data = buf.data() + offset;
+        for (uint32_t initial : {0u, 0xFFFFu, 0x2FFFFu, initial_dist(rng)}) {
+          uint32_t want = ReferenceChecksumPartial(data, len, initial);
+          if (ChecksumPartial(data, len, initial) != want ||
+              Checksum(data, len, initial) != static_cast<uint16_t>(~want & 0xFFFF)) {
+            ++mismatches;
+            ADD_FAILURE() << "fill " << fill << " len " << len << " offset " << offset
+                          << " initial " << initial;
+          }
+        }
+        uint32_t src = rng();
+        uint32_t dst = rng();
+        uint8_t protocol = (len & 1) != 0 ? kProtoUdp : kProtoTcp;
+        if (TransportChecksum(src, dst, protocol, data, len) !=
+            ReferenceTransportChecksum(src, dst, protocol, data, len)) {
+          ++mismatches;
+          ADD_FAILURE() << "transport: fill " << fill << " len " << len << " offset " << offset;
+        }
+        ASSERT_LT(mismatches, 10);
+      }
+    }
+  }
+}
+
 // --- Packet ----------------------------------------------------------------------
 
 TEST(Packet, BuildsValidUdp) {
@@ -207,6 +277,277 @@ TEST(Packet, FromWireRejectsGarbage) {
   EXPECT_EQ(p.length(), 0u);
   Packet q = Packet::FromWire(junk, 4);  // too short
   EXPECT_EQ(q.length(), 0u);
+}
+
+// --- Packet copies and moves: the bytes past length() are unspecified ---------
+//
+// Each scenario builds its packet in storage pre-filled with 0x00 and again
+// with 0xA5. Anything that read a byte it did not write (a builder relying on
+// a zero-filled buffer, a copy of the tail) would make the two runs differ.
+
+struct PacketImage {
+  std::vector<uint8_t> bytes;
+  size_t payload_offset = 0;
+  uint32_t ip_src = 0;
+  uint32_t ip_dst = 0;
+  uint8_t protocol = 0;
+  uint8_t ttl = 0;
+  uint16_t src_port = 0;
+  uint16_t dst_port = 0;
+  uint8_t tcp_flags = 0;
+  bool firewall_tag = false;
+  uint8_t paint = 0;
+  uint64_t timestamp_ns = 0;
+  bool int_active = false;
+  bool int_parked = false;
+  bool int_done = false;
+  uint64_t int_ingress_ns = 0;
+  uint32_t int_truncated = 0;
+  std::vector<std::string> int_hops;
+  uint16_t ip_checksum = 0;  // recomputed over the wire header: 0 when valid
+  uint16_t l4_checksum = 0;  // recomputed over the segment: 0 when valid
+
+  bool operator==(const PacketImage&) const = default;
+};
+
+PacketImage ImageOf(const Packet& p) {
+  PacketImage image;
+  image.bytes.assign(p.data(), p.data() + p.length());
+  image.payload_offset = p.payload_offset();
+  image.ip_src = p.ip_src().value();
+  image.ip_dst = p.ip_dst().value();
+  image.protocol = p.protocol();
+  image.ttl = p.ttl();
+  image.src_port = p.src_port();
+  image.dst_port = p.dst_port();
+  image.tcp_flags = p.tcp_flags();
+  image.firewall_tag = p.firewall_tag();
+  image.paint = p.paint();
+  image.timestamp_ns = p.timestamp_ns();
+  image.int_active = p.int_active();
+  image.int_parked = p.int_parked();
+  image.int_done = p.int_done();
+  image.int_ingress_ns = p.int_ingress_ns();
+  image.int_truncated = p.int_truncated();
+  for (const IntHop& hop : p.int_hops()) {
+    image.int_hops.push_back(hop.element + " " + std::to_string(hop.ingress_port) + " " +
+                             std::to_string(hop.egress_port) + " " +
+                             std::to_string(hop.queue_depth) + " " +
+                             std::to_string(hop.hop_ns) + " " + std::to_string(hop.endpoint));
+  }
+  if (p.length() >= kEthHeaderLen + kIpHeaderLen) {
+    image.ip_checksum = Checksum(p.data() + kEthHeaderLen, kIpHeaderLen);
+    size_t l4 = kEthHeaderLen + kIpHeaderLen;
+    if (p.protocol() == kProtoIcmp) {
+      image.l4_checksum = Checksum(p.data() + l4, p.length() - l4);
+    } else {
+      image.l4_checksum = TransportChecksum(p.ip_src().value(), p.ip_dst().value(),
+                                            p.protocol(), p.data() + l4, p.length() - l4);
+    }
+  }
+  return image;
+}
+
+// Storage for one Packet whose bytes start out as `fill`. The barrier keeps
+// the compiler from dropping the fill as a dead store before the
+// constructor runs.
+class FilledStorage {
+ public:
+  explicit FilledStorage(uint8_t fill) : fill_(fill) {
+    std::memset(bytes_, fill, sizeof(bytes_));
+    asm volatile("" : : "r"(bytes_) : "memory");
+  }
+  FilledStorage(const FilledStorage&) = delete;
+  FilledStorage& operator=(const FilledStorage&) = delete;
+  ~FilledStorage() {
+    if (packet_ != nullptr) {
+      packet_->~Packet();
+    }
+  }
+
+  // Constructs the packet in place, with the constructor `args` select.
+  template <typename... Args>
+  Packet& Emplace(Args&&... args) {
+    EXPECT_EQ(packet_, nullptr);
+    packet_ = new (bytes_) Packet(std::forward<Args>(args)...);
+    return *packet_;
+  }
+  // Constructs the packet in place from `make`'s prvalue (no extra copy).
+  template <typename Make>
+  Packet& EmplaceFrom(Make make) {
+    EXPECT_EQ(packet_, nullptr);
+    packet_ = new (bytes_) Packet(make());
+    return *packet_;
+  }
+  // True when no byte past length() was written: the fill is intact.
+  bool TailUntouched() const {
+    asm volatile("" : : "r"(bytes_) : "memory");
+    const uint8_t* tail = packet_->data() + packet_->length();
+    return std::all_of(tail, packet_->data() + kMaxFrameLen,
+                       [this](uint8_t b) { return b == fill_; });
+  }
+
+ private:
+  alignas(Packet) unsigned char bytes_[sizeof(Packet)];
+  uint8_t fill_;
+  Packet* packet_ = nullptr;
+};
+
+const uint8_t kFills[2] = {0x00, 0xA5};
+
+// Runs `scenario` (FilledStorage& -> Packet&) once per fill and checks that
+// both results are the same packet.
+template <typename Scenario>
+PacketImage ExpectFillIndependent(Scenario scenario) {
+  FilledStorage zeros(kFills[0]);
+  FilledStorage pattern(kFills[1]);
+  PacketImage a = ImageOf(scenario(zeros));
+  PacketImage b = ImageOf(scenario(pattern));
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.ip_checksum, 0u);
+  return a;
+}
+
+Packet MakeTestUdp(size_t payload) {
+  return Packet::MakeUdp(Ipv4Address::MustParse("10.1.2.3"), Ipv4Address::MustParse("172.16.3.10"),
+                         5000, 1500, payload);
+}
+
+TEST(PacketCopyMove, BuildersWriteEveryByteTheyExpose) {
+  for (size_t payload : {0, 1, 17, 22, 534, 1471, 1472, 5000}) {
+    SCOPED_TRACE(payload);
+    PacketImage udp = ExpectFillIndependent([&](FilledStorage& s) -> Packet& {
+      return s.EmplaceFrom([&] { return MakeTestUdp(payload); });
+    });
+    EXPECT_EQ(udp.l4_checksum, 0u);
+    PacketImage tcp = ExpectFillIndependent([&](FilledStorage& s) -> Packet& {
+      return s.EmplaceFrom([&] {
+        return Packet::MakeTcp(Ipv4Address::MustParse("10.1.2.3"),
+                               Ipv4Address::MustParse("172.16.3.10"), 4000, 80, kTcpSyn, payload);
+      });
+    });
+    EXPECT_EQ(tcp.l4_checksum, 0u);
+  }
+  PacketImage icmp = ExpectFillIndependent([](FilledStorage& s) -> Packet& {
+    return s.EmplaceFrom([] {
+      return Packet::MakeIcmpEcho(Ipv4Address::MustParse("10.1.2.3"),
+                                  Ipv4Address::MustParse("172.16.3.10"), 7, 3);
+    });
+  });
+  EXPECT_EQ(icmp.l4_checksum, 0u);
+}
+
+TEST(PacketCopyMove, FromWireAndSetPayloadAreFillIndependent) {
+  Packet source = MakeTestUdp(200);
+  PacketImage want = ImageOf(source);
+  PacketImage parsed = ExpectFillIndependent([&](FilledStorage& s) -> Packet& {
+    return s.EmplaceFrom([&] { return Packet::FromWire(source.data(), source.length()); });
+  });
+  EXPECT_EQ(parsed, want);
+  PacketImage edited = ExpectFillIndependent([](FilledStorage& s) -> Packet& {
+    Packet& p = s.EmplaceFrom([] { return MakeTestUdp(64); });
+    p.SetPayload("GET /index.html HTTP/1.1");
+    return p;
+  });
+  EXPECT_EQ(edited.l4_checksum, 0u);
+}
+
+TEST(PacketCopyMove, CopiesAndMovesTransferOnlyTheOccupiedBytes) {
+  for (size_t payload : {22, 534, 1458}) {
+    SCOPED_TRACE(payload);
+    Packet source = MakeTestUdp(payload);
+    source.set_paint(3);
+    source.set_firewall_tag(true);
+    source.set_timestamp_ns(12345);
+    const PacketImage want = ImageOf(source);
+    for (uint8_t fill : kFills) {
+      FilledStorage copied(fill);
+      EXPECT_EQ(ImageOf(copied.Emplace(source)), want);
+      EXPECT_TRUE(copied.TailUntouched());
+
+      Packet donor = source;
+      FilledStorage moved(fill);
+      EXPECT_EQ(ImageOf(moved.Emplace(std::move(donor))), want);
+      EXPECT_TRUE(moved.TailUntouched());
+
+      FilledStorage assigned(fill);
+      Packet& target = assigned.Emplace();
+      target = source;
+      EXPECT_EQ(ImageOf(target), want);
+      EXPECT_TRUE(assigned.TailUntouched());
+
+      Packet move_donor = source;
+      FilledStorage move_assigned(fill);
+      Packet& move_target = move_assigned.Emplace();
+      move_target = std::move(move_donor);
+      EXPECT_EQ(ImageOf(move_target), want);
+      EXPECT_TRUE(move_assigned.TailUntouched());
+    }
+  }
+}
+
+TEST(PacketCopyMove, MoveCarriesTheIntStackIntact) {
+  Packet source = MakeTestUdp(100);
+  source.ActivateInt(500);
+  for (int i = 0; i < 5; ++i) {
+    source.AppendIntHop(IntHop{"hop" + std::to_string(i), static_cast<uint16_t>(i), 0,
+                               static_cast<uint32_t>(i * 2), static_cast<uint64_t>(100 + i),
+                               i == 0});
+    source.SetLastIntEgressPort(static_cast<uint16_t>(i + 1));
+  }
+  source.set_int_parked(true);
+  Packet copy = source;
+  const PacketImage want = ImageOf(copy);
+  ASSERT_EQ(want.int_hops.size(), 5u);
+
+  Packet moved(std::move(source));
+  EXPECT_EQ(ImageOf(moved), want);
+  EXPECT_EQ(moved.int_hops().size(), 5u);
+  EXPECT_EQ(moved.int_hops().back().egress_port, 5);
+
+  Packet assigned = MakeTestUdp(10);
+  assigned = std::move(moved);
+  EXPECT_EQ(ImageOf(assigned), want);
+  EXPECT_EQ(ImageOf(assigned), ImageOf(copy));
+}
+
+// Fills the stack below the caller with `fill`, so the frames the click
+// elements build their packets in start out holding it.
+[[gnu::noinline]] void PaintStack(uint8_t fill) {
+  volatile uint8_t frame[32 * 1024];
+  for (volatile uint8_t& b : frame) {
+    b = fill;
+  }
+}
+
+TEST(PacketCopyMove, TunnelRoundTripIsFillIndependent) {
+  std::string error;
+  auto graph = click::Graph::FromText(
+      "in :: FromNetfront(); out :: ToNetfront();"
+      "in -> UDPTunnelEncap(3.3.3.3, 4.4.4.4, 4789) -> UDPTunnelDecap() -> out;",
+      &error);
+  ASSERT_NE(graph, nullptr) << error;
+  auto* sink = dynamic_cast<click::ToNetfront*>(graph->Find("out"));
+  ASSERT_NE(sink, nullptr);
+  for (size_t payload : {0, 100, 1400}) {
+    SCOPED_TRACE(payload);
+    const Packet source = MakeTestUdp(payload);
+    PacketImage delivered[2];
+    for (int f = 0; f < 2; ++f) {
+      FilledStorage in(kFills[f]);
+      FilledStorage out(kFills[f]);
+      bool arrived = false;
+      sink->set_handler([&](Packet& p) {
+        delivered[f] = ImageOf(out.Emplace(p));
+        arrived = true;
+      });
+      PaintStack(kFills[f]);
+      graph->InjectAtSource(in.Emplace(source));
+      ASSERT_TRUE(arrived);
+    }
+    EXPECT_EQ(delivered[0], delivered[1]);
+    EXPECT_EQ(delivered[0], ImageOf(source));
+  }
 }
 
 // --- FlowSpec --------------------------------------------------------------------

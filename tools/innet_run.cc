@@ -41,9 +41,10 @@
 // Everything derives from the simulated clock and deterministic work counts:
 // two runs write byte-identical bundles.
 //
-// Data-plane profiling: --dataplane-sample-n N attributes every packet to
-// folded stacks and additionally records a full element-by-element walk
-// trace for 1 in N packets, chosen deterministically from --dataplane-seed.
+// Data-plane profiling: --dataplane-sample-n N additionally records a full
+// element-by-element walk trace for 1 in N packets, chosen deterministically
+// from --dataplane-seed. It and --int-sample-n only tune what
+// --telemetry-out collects; either one without it is a usage error.
 //
 // Control-plane chaos: any of --control-loss/--control-dup/--control-reorder/
 // --control-delay-ms routes the install over the lossy control channel
@@ -255,19 +256,22 @@ int main(int argc, char** argv) {
                  placement_policy.c_str());
     return 2;
   }
+  // What the profiler and INT collect goes only into the bundle, so their
+  // sampling flags modify --telemetry-out and mean nothing without it.
   const bool want_telemetry = !telemetry_out.empty();
-  const bool want_int = int_sample_n > 0 || want_telemetry;
-  if (want_int) {
+  if (!want_telemetry && (sample_n > 0 || int_sample_n > 0)) {
+    std::fprintf(stderr, "--dataplane-sample-n and --int-sample-n need --telemetry-out\n");
+    return 2;
+  }
+  if (want_telemetry) {
     if (int_sample_n == 0) {
       int_sample_n = 1;  // the bundle alone means "tag every walk"
     }
     obs::Int().Enable();
   }
-  const bool want_profiling = sample_n > 0 || want_int;
   const bool want_control_faults =
       control_loss > 0 || control_dup > 0 || control_reorder > 0 || control_delay_ms > 0;
-  const bool want_stack =
-      want_telemetry || !placement_policy.empty() || want_profiling || want_control_faults;
+  const bool want_stack = want_telemetry || !placement_policy.empty() || want_control_faults;
   sim::EventQueue clock;
   // The sampler rides the sim clock: one tick per window, rescheduled from
   // inside each tick, plus a final flush before the bundle is written so the
@@ -290,7 +294,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("loaded %zu elements from %s\n", graph->elements().size(), config_path.c_str());
-  if (want_profiling) {
+  if (want_telemetry) {
     click::GraphProfilerConfig profile_config;
     profile_config.sample_n = sample_n;
     profile_config.int_sample_n = int_sample_n;
@@ -432,7 +436,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(deployed.vm_id));
       clock.RunUntil(clock.now() + sim::FromSeconds(2));
       box = orch.platform(deployed.outcome.platform);
-      if (want_profiling) {
+      if (want_telemetry) {
         box->EnableDataplaneProfiling(sample_n, dataplane_seed, int_sample_n);
       }
       for (const PacketSpec& spec : specs) {
