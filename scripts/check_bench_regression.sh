@@ -17,7 +17,7 @@
 set -u
 cd "$(dirname "$0")/.."
 
-benches=(placement_scaling fig10_controller_scaling control_chaos dataplane_profile int_conformance federation_failover)
+benches=(placement_scaling fig10_controller_scaling controller_throughput control_chaos dataplane_profile int_conformance federation_failover)
 if [ "$#" -gt 0 ]; then
   benches=("$@")
 fi

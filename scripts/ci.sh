@@ -86,6 +86,8 @@ else
 fi
 
 step "perf-regression gate (check_bench_regression.sh vs committed baselines)"
+# Includes controller_throughput: engine steps and verification-graph nodes
+# per deploy at each installed-tenant checkpoint, with zero tolerance.
 scripts/check_bench_regression.sh || fail=1
 
 step "telemetry bundle determinism (two seeded innet_run bundles must be byte-identical)"
