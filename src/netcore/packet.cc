@@ -195,11 +195,17 @@ bool Packet::ReparseFromWire() {
   if ((ip->version_ihl >> 4) != 4) {
     return false;
   }
+  // The header length must cover the fixed header and fit in the frame;
+  // RefreshChecksums sums [l4_offset_, length_).
+  const size_t ip_header_len = static_cast<size_t>(ip->HeaderLength());
+  if (ip_header_len < kIpHeaderLen || kEthHeaderLen + ip_header_len > length_) {
+    return false;
+  }
   ip_src_ = Ipv4Address(NetToHost32(ip->src));
   ip_dst_ = Ipv4Address(NetToHost32(ip->dst));
   protocol_ = ip->protocol;
   ttl_ = ip->ttl;
-  l4_offset_ = kEthHeaderLen + static_cast<size_t>(ip->HeaderLength());
+  l4_offset_ = kEthHeaderLen + ip_header_len;
   src_port_ = 0;
   dst_port_ = 0;
   tcp_flags_ = 0;

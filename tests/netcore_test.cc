@@ -279,6 +279,67 @@ TEST(Packet, FromWireRejectsGarbage) {
   EXPECT_EQ(q.length(), 0u);
 }
 
+// The IPv4 header length (IHL, in 32-bit words) must be at least 5 and must
+// not run past the frame; otherwise the L4 offset would lie inside the IP
+// header or beyond length() and a checksum refresh would read out of bounds.
+TEST(Packet, FromWireRejectsBadHeaderLength) {
+  const Packet udp = Packet::MakeUdp(Ipv4Address(1, 2, 3, 4), Ipv4Address(5, 6, 7, 8), 1000,
+                                     2000, 0);
+  ASSERT_EQ(udp.length(), 42u);
+  auto with_ihl = [&](uint8_t ihl, size_t len) {
+    std::vector<uint8_t> frame(udp.data(), udp.data() + udp.length());
+    frame.resize(len, 0);
+    frame[kEthHeaderLen] = static_cast<uint8_t>(0x40 | ihl);
+    return Packet::FromWire(frame.data(), frame.size());
+  };
+  for (uint8_t ihl = 0; ihl < 5; ++ihl) {
+    SCOPED_TRACE(static_cast<int>(ihl));
+    EXPECT_EQ(with_ihl(ihl, 42).length(), 0u);
+  }
+  EXPECT_EQ(with_ihl(15, 42).length(), 0u);  // 60-byte header in a 28-byte IP packet
+  EXPECT_EQ(with_ihl(6, 37).length(), 0u);   // options end one byte past the frame
+
+  // Header lengths that fit are still accepted, the L4 header after options.
+  EXPECT_EQ(with_ihl(5, 42).length(), 42u);
+  Packet options = with_ihl(6, 50);
+  ASSERT_EQ(options.length(), 50u);
+  EXPECT_EQ(options.payload_offset(), kEthHeaderLen + 24u + 8u);
+  options.RefreshChecksums();
+  Packet exact = with_ihl(15, kEthHeaderLen + 60);  // no L4 bytes at all
+  ASSERT_EQ(exact.length(), kEthHeaderLen + 60u);
+  exact.RefreshChecksums();
+}
+
+// The same bound reached from a tenant's config: a tunnel payload whose
+// inner header claims IHL 15 is dropped by UDPTunnelDecap, not forwarded.
+TEST(Packet, TunnelDecapDropsInnerHeaderLongerThanPayload) {
+  std::string error;
+  auto graph = click::Graph::FromText(
+      "in :: FromNetfront(); out :: ToNetfront();"
+      "in -> UDPTunnelDecap() -> IPRewriter(pattern - - 10.0.0.9 - 0 0) -> out;",
+      &error);
+  ASSERT_NE(graph, nullptr) << error;
+  auto* sink = dynamic_cast<click::ToNetfront*>(graph->Find("out"));
+  ASSERT_NE(sink, nullptr);
+  int delivered = 0;
+  sink->set_handler([&](Packet&) { ++delivered; });
+
+  const Packet inner = Packet::MakeUdp(Ipv4Address(1, 2, 3, 4), Ipv4Address(5, 6, 7, 8), 1000,
+                                       2000, 0);
+  for (uint8_t ihl : {uint8_t{5}, uint8_t{15}}) {
+    SCOPED_TRACE(static_cast<int>(ihl));
+    Packet outer = Packet::MakeUdp(Ipv4Address(3, 3, 3, 3), Ipv4Address(4, 4, 4, 4), 4789, 4789,
+                                   inner.length() - kEthHeaderLen);
+    std::memcpy(outer.mutable_payload(), inner.data() + kEthHeaderLen,
+                inner.length() - kEthHeaderLen);
+    outer.mutable_payload()[0] = static_cast<uint8_t>(0x40 | ihl);
+    outer.RefreshChecksums();
+    delivered = 0;
+    graph->InjectAtSource(outer);
+    EXPECT_EQ(delivered, ihl == 5 ? 1 : 0);
+  }
+}
+
 // --- Packet copies and moves: the bytes past length() are unspecified ---------
 //
 // Each scenario builds its packet in storage pre-filled with 0x00 and again
