@@ -5,6 +5,7 @@
 #ifndef SRC_CONTROLLER_CONTROLLER_H_
 #define SRC_CONTROLLER_CONTROLLER_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -122,18 +123,55 @@ class Controller {
   const std::vector<Deployment>& deployments() const { return deployments_; }
   // The committed deployment with `module_id`, or nullptr.
   const Deployment* FindDeployment(const std::string& module_id) const;
+  // The operator network with the committed deployments' attachments and
+  // firewall pinholes; a trial placement never shows here.
   const topology::Network& network() const { return network_; }
 
-  // Builds the verification graph for the current network plus all committed
-  // deployments (and optionally one trial module). Exposed for tests.
+  // A copy of the verification graph: the network plus every committed
+  // deployment, and `trial` grafted last when given (*error is set when its
+  // configuration has no symbolic model). Equal, node for node, to building
+  // it from scratch. Exposed for tests and the stage replay.
   symexec::SymGraph BuildVerificationGraph(const Deployment* trial, std::string* error);
 
   // Resolves reach-language node specs against the current graph; `trial`
-  // names the module whose elements "module:element" refs resolve into.
+  // names the module whose elements "module:element" refs resolve into. The
+  // resolver reads the controller's committed deployments and `*trial` as
+  // they are when it runs: use it before the next Deploy, RestoreDeployment
+  // or Kill, and while `*trial` lives.
   policy::NodeResolver MakeResolver(const Deployment* trial) const;
 
  private:
+  // What the verification graph and the resolver keep per committed
+  // deployment, in deployments_ order, computed once at commit.
+  struct CommittedModule {
+    std::string id;
+    Ipv4Address addr;
+    // "<module id>/<element>" for every element: the graph nodes an address
+    // waypoint naming this module matches.
+    std::vector<std::string> nodes;
+    // The embedded symbolic model; nullptr when the configuration has none
+    // (the module is still attached to its platform, with no nodes).
+    std::shared_ptr<const symexec::SymGraph> model;
+  };
+
   std::optional<Ipv4Address> NextAddress(const topology::Node& platform) const;
+  // The embedded symbolic model of `config`, or nullptr with *error set.
+  static std::shared_ptr<const symexec::SymGraph> BuildModuleModel(
+      const click::ConfigGraph& config, std::string* error);
+  // Re-forms graph_ from network_ and the cached models of committed_.
+  void RebuildGraph();
+  // Merges `model` into graph_ under `dep`'s module id and wires it to its
+  // platform's port (the port of the first attachment on that platform with
+  // dep.addr, or the next free port when `dep` is not attached yet).
+  void WireModule(const Deployment& dep, const symexec::SymGraph& model);
+  // Grafts `trial` into graph_ inside a graph trial: its nodes, a platform
+  // model with its port last, the firewalls with its pinholes last, and its
+  // port's edges. The caller ends the trial (Commit, or RollbackTrial).
+  // Returns the trial's model (nullptr with *error set when it has none).
+  std::shared_ptr<const symexec::SymGraph> GraftTrial(const Deployment& trial,
+                                                      std::string* error);
+  // Keeps the grafted `trial` and records it as committed.
+  void Commit(Deployment trial, std::shared_ptr<const symexec::SymGraph> model);
   // The trial build shared by Deploy and RestoreDeployment: $SELF
   // substitution, parse, the Deployment record, the egress pinholes the
   // client's whitelist authorizes, and the security verdict (which also
@@ -157,8 +195,13 @@ class Controller {
   // Deploy exit path.
   void RecordDeployMetrics(DeployOutcome* outcome, uint64_t graph_nodes) const;
 
+  // Committed state only: the attachments and pinholes of deployments_.
   topology::Network network_;
   std::vector<Deployment> deployments_;
+  std::vector<CommittedModule> committed_;  // parallel to deployments_
+  // The network plus every committed module, equal node for node to a
+  // from-scratch build; a candidate is grafted in and rolled back.
+  symexec::SymGraph graph_;
   std::vector<policy::ReachSpec> operator_policies_;
   std::unordered_set<std::string> failed_platforms_;
   uint64_t next_module_seq_ = 1;

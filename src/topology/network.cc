@@ -373,64 +373,66 @@ int Network::HopDistance(const std::string& from, const std::string& to) const {
   return -1;
 }
 
+std::shared_ptr<SymbolicModel> Network::BuildNodeModel(
+    const Node& node, const ModuleAttachment* trial,
+    const std::vector<FlowSpec>& trial_pinholes) const {
+  switch (node.kind) {
+    case NodeKind::kInternet:
+      return std::make_shared<InternetModel>();
+    case NodeKind::kClientSubnet:
+      return std::make_shared<ClientSubnetModel>(node.subnet);
+    case NodeKind::kServer:
+      return std::make_shared<ServerModel>();
+    case NodeKind::kRouter: {
+      std::vector<RouterModel::PortRoute> routes;
+      for (const RouteEntry& route : node.routes) {
+        int port = PortOf(node.name, route.next_hop);
+        if (port >= 0) {
+          routes.push_back({route.prefix, port, route.match});
+        }
+      }
+      int default_port =
+          node.default_route.empty() ? -1 : PortOf(node.name, node.default_route);
+      return std::make_shared<RouterModel>(std::move(routes), default_port);
+    }
+    case NodeKind::kMiddlebox:
+      switch (node.middlebox) {
+        case MiddleboxKind::kStatefulFirewall: {
+          std::vector<FlowSpec> pinholes = node.firewall_pinholes;
+          pinholes.insert(pinholes.end(), trial_pinholes.begin(), trial_pinholes.end());
+          return std::make_shared<StatefulFirewallModel>(node.allowed_outbound_protos,
+                                                         std::move(pinholes));
+        }
+        case MiddleboxKind::kHttpOptimizer:
+          return std::make_shared<HttpOptimizerModel>();
+        case MiddleboxKind::kWebCache:
+        case MiddleboxKind::kPassthrough:
+          return std::make_shared<PassthroughMiddleboxModel>();
+      }
+      break;
+    case NodeKind::kPlatform: {
+      // Module ports follow the physical links, in attachment order.
+      std::vector<PlatformModel::ModulePort> modules;
+      int next_port = static_cast<int>(node.neighbors.size());
+      for (const ModuleAttachment& att : attachments_) {
+        if (att.platform == node.name) {
+          modules.push_back({att.addr.value(), next_port++});
+        }
+      }
+      if (trial != nullptr && trial->platform == node.name) {
+        modules.push_back({trial->addr.value(), next_port});
+      }
+      return std::make_shared<PlatformModel>(std::move(modules),
+                                             static_cast<int>(node.neighbors.size()));
+    }
+  }
+  return nullptr;
+}
+
 symexec::SymGraph Network::BuildSymGraph() const {
   symexec::SymGraph graph;
-
   for (const Node& node : nodes_) {
-    std::shared_ptr<SymbolicModel> model;
-    switch (node.kind) {
-      case NodeKind::kInternet:
-        model = std::make_shared<InternetModel>();
-        break;
-      case NodeKind::kClientSubnet:
-        model = std::make_shared<ClientSubnetModel>(node.subnet);
-        break;
-      case NodeKind::kServer:
-        model = std::make_shared<ServerModel>();
-        break;
-      case NodeKind::kRouter: {
-        std::vector<RouterModel::PortRoute> routes;
-        for (const RouteEntry& route : node.routes) {
-          int port = PortOf(node.name, route.next_hop);
-          if (port >= 0) {
-            routes.push_back({route.prefix, port, route.match});
-          }
-        }
-        int default_port =
-            node.default_route.empty() ? -1 : PortOf(node.name, node.default_route);
-        model = std::make_shared<RouterModel>(std::move(routes), default_port);
-        break;
-      }
-      case NodeKind::kMiddlebox:
-        switch (node.middlebox) {
-          case MiddleboxKind::kStatefulFirewall:
-            model = std::make_shared<StatefulFirewallModel>(node.allowed_outbound_protos,
-                                                            node.firewall_pinholes);
-            break;
-          case MiddleboxKind::kHttpOptimizer:
-            model = std::make_shared<HttpOptimizerModel>();
-            break;
-          case MiddleboxKind::kWebCache:
-          case MiddleboxKind::kPassthrough:
-            model = std::make_shared<PassthroughMiddleboxModel>();
-            break;
-        }
-        break;
-      case NodeKind::kPlatform: {
-        std::vector<PlatformModel::ModulePort> modules;
-        int next_port = static_cast<int>(node.neighbors.size());
-        for (const ModuleAttachment& att : attachments_) {
-          if (att.platform == node.name) {
-            modules.push_back({att.addr.value(), next_port});
-            ++next_port;
-          }
-        }
-        model = std::make_shared<PlatformModel>(std::move(modules),
-                                                static_cast<int>(node.neighbors.size()));
-        break;
-      }
-    }
-    graph.AddNode(node.name, std::move(model));
+    graph.AddNode(node.name, BuildNodeModel(node));
   }
 
   // Wire links: port i on a node leads to the i-th neighbor; the reverse edge
